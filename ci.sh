@@ -8,17 +8,19 @@
 #   race-stress the concurrency-bearing packages (the parallel pass
 #               manager with its per-worker relax.State pool, the
 #               shared encode cache, the incremental relaxation
-#               differential suite at 8 workers and the maod service)
-#               repeated under the race detector to shake out
-#               scheduling-dependent races
+#               differential suite at 8 workers, the maod service, and
+#               the flight group that maod and maorouter share to
+#               coalesce identical misses) repeated under the race
+#               detector to shake out scheduling-dependent races
 #   maolint     pass bodies may mutate the IR only through the
 #               pass.Ctx helpers — raw ir.List calls break provenance
 #               and fragment dirtying silently
 #   fuzz smoke  the parser fuzz target runs briefly, so the committed
 #               seeds keep passing and the harness cannot rot; the
 #               verifier's zero-false-positive fuzz gate
-#               (FuzzVerifyEquiv) and the decoder's decode↔encode
-#               oracle (FuzzDecodeEncodeRoundtrip) run briefly for the
+#               (FuzzVerifyEquiv), the decoder's decode↔encode oracle
+#               (FuzzDecodeEncodeRoundtrip) and maod's maoar1 archive
+#               framing parser (FuzzParseArchive) run briefly for the
 #               same reason
 #   decode-roundtrip
 #               every corpus fixture is assembled to raw machine code
@@ -93,9 +95,8 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + service"
-go test -race -count=3 ./internal/pass/ ./internal/relax/
-go test -race -count=2 ./internal/serve/
+echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + service + flight group"
+go test -race -count=3 ./internal/pass/ ./internal/relax/ ./internal/serve/ ./internal/router/ ./internal/flight/
 # The differential suite drives the pooled per-worker relax.States at 8
 # workers with tracing on; repeat it specifically under the detector.
 go test -race -count=2 -run 'TestDifferentialAfterPasses' ./internal/relax/
@@ -104,13 +105,16 @@ echo "== maolint: passes mutate IR only through pass.Ctx helpers"
 go run ./cmd/maolint ./internal/passes
 
 echo "== fuzz smoke: parser"
-go test -run '^$' -fuzz FuzzParseString -fuzztime 10s ./internal/asm/
+go test -run '^$' -fuzz FuzzParseString -fuzztime 30s ./internal/asm/
 
 echo "== fuzz smoke: verifier zero-false-positive gate"
 go test -run '^$' -fuzz FuzzVerifyEquiv -fuzztime 10s ./internal/verify/
 
 echo "== fuzz smoke: decode↔encode oracle"
 go test -run '^$' -fuzz FuzzDecodeEncodeRoundtrip -fuzztime 10s ./internal/x86/decode/
+
+echo "== fuzz smoke: maoar1 archive framing"
+go test -run '^$' -fuzz FuzzParseArchive -fuzztime 10s ./internal/serve/
 
 echo "== benchmark smoke run"
 go test -run '^$' -bench . -benchtime=1x ./...
@@ -166,6 +170,10 @@ echo "== maod smoke: boot, probe, optimize, drain"
 maod_bin=$(dirname "$bin")/maod
 go build -o "$maod_bin" ./cmd/maod
 maod_log=$(dirname "$bin")/maod.log
+# Every polled log is created before its process starts: a background
+# job opens its own redirection, so the polling sed could otherwise run
+# before the file exists, and set -e would end the script.
+: >"$maod_log"
 "$maod_bin" -addr 127.0.0.1:0 -quiet >"$maod_log" 2>&1 &
 maod_pid=$!
 addr=""
@@ -195,6 +203,7 @@ go build -o "$fleet/maoload" ./cmd/maoload
 # substitution — a subshell would lose $!).
 start_maod() {
 	_log=$1
+	: >"$_log"
 	"$maod_bin" -addr 127.0.0.1:0 -quiet >"$_log" 2>&1 &
 	maod_started_pid=$!
 	_a=""
@@ -211,6 +220,7 @@ start_maod "$fleet/shard1.log"; shard1=$maod_url; shard1_pid=$maod_started_pid
 start_maod "$fleet/shard2.log"; shard2=$maod_url; shard2_pid=$maod_started_pid
 start_maod "$fleet/direct.log"; direct=$maod_url; direct_pid=$maod_started_pid
 
+: >"$fleet/router.log"
 "$fleet/maorouter" -addr 127.0.0.1:0 -shards "$shard1,$shard2" \
 	-probe-interval 100ms >"$fleet/router.log" 2>&1 &
 router_pid=$!
@@ -282,6 +292,7 @@ go build -o "$fleet/maotop" ./cmd/maotop
 # addresses parsed from the log ($maod_url, $maod_debug).
 start_scoped_maod() {
 	_log=$1
+	: >"$_log"
 	"$maod_bin" -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -quiet >"$_log" 2>&1 &
 	maod_started_pid=$!
 	_a=""
@@ -301,6 +312,7 @@ start_scoped_maod() {
 start_scoped_maod "$fleet/sshard1.log"; sshard1=$maod_url; sshard1_dbg=$maod_debug; sshard1_pid=$maod_started_pid
 start_scoped_maod "$fleet/sshard2.log"; sshard2=$maod_url; sshard2_dbg=$maod_debug; sshard2_pid=$maod_started_pid
 
+: >"$fleet/srouter.log"
 "$fleet/maorouter" -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -shards "$sshard1,$sshard2" \
 	-probe-interval 100ms >"$fleet/srouter.log" 2>&1 &
 srouter_pid=$!

@@ -12,9 +12,10 @@
 // shard in ring order.
 //
 // Concurrent identical optimize requests coalesce onto one shard
-// forward (disable with -no-coalesce): the followers replay the
-// leader's buffered response and report X-Mao-Cache: coalesced in the
-// response header, the access log, and the flight recorder.
+// forward: the followers replay the leader's buffered response and
+// report X-Mao-Cache: coalesced in the response header, the access
+// log, and the flight recorder. Requests with no_cache or ?trace=
+// never coalesce.
 //
 // Endpoints:
 //
@@ -67,7 +68,6 @@ func main() {
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "timeout of one /readyz probe")
 		maxBody       = flag.Int64("max-body-bytes", 0, "max proxied request body size (0 = default)")
 		drainWait     = flag.Duration("drain-timeout", 5*time.Minute, "how long to wait for in-flight requests on shutdown")
-		noCoalesce    = flag.Bool("no-coalesce", false, "disable in-flight miss coalescing (identical concurrent requests sharing one shard forward)")
 		quiet         = flag.Bool("quiet", false, "suppress the JSON access log")
 		debugAddr     = flag.String("debug-addr", "", "opt-in debug listener for net/http/pprof and /debug/scope (empty = disabled); bind it to localhost")
 		flightSize    = flag.Int("flight-records", 0, "flight-recorder ring size, 0 = default, -1 disables")
@@ -86,14 +86,13 @@ func main() {
 		}
 	}
 	cfg := router.Config{
-		Shards:          shardList,
-		VNodes:          *vnodes,
-		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
-		MaxBodyBytes:    *maxBody,
-		FlightRecords:   *flightSize,
-		DisableCoalesce: *noCoalesce,
-		Logf:            log.Printf,
+		Shards:        shardList,
+		VNodes:        *vnodes,
+		ProbeInterval: *probeInterval,
+		ProbeTimeout:  *probeTimeout,
+		MaxBodyBytes:  *maxBody,
+		FlightRecords: *flightSize,
+		Logf:          log.Printf,
 	}
 	if !*quiet {
 		cfg.AccessLog = os.Stderr

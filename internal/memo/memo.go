@@ -56,6 +56,7 @@ import (
 	"sync/atomic"
 
 	"mao/internal/ir"
+	"mao/internal/lru"
 )
 
 // formatVersion is baked into every key; bump it when the entry
@@ -67,13 +68,8 @@ const formatVersion = "maomemo/1"
 // and cloned on every splice.
 type Memo struct {
 	mu      sync.Mutex
-	entries map[string]*entry
-	// order is an intrusive LRU list over entries (most recent at
-	// head). A plain doubly-linked list keeps eviction O(1) without
-	// container/list's interface boxing.
-	head, tail *entry
-	max        int
-	salt       string
+	entries *lru.Cache[string, entry]
+	salt    string
 
 	hits, misses, stores, evictions, unmemoizable atomic.Uint64
 }
@@ -82,10 +78,8 @@ type Memo struct {
 // pipeline left the span byte-identical (the common fixpoint case):
 // splicing such an entry is a no-op.
 type entry struct {
-	key        string
-	nodes      []*ir.Node
-	identical  bool
-	prev, next *entry
+	nodes     []*ir.Node
+	identical bool
 }
 
 // New returns a memo bounded to maxEntries function entries (<= 0
@@ -104,8 +98,7 @@ func New(maxEntries int, versions ...string) *Memo {
 		writeField(h, v)
 	}
 	return &Memo{
-		entries: make(map[string]*entry),
-		max:     maxEntries,
+		entries: lru.New[string, entry](maxEntries),
 		salt:    hex.EncodeToString(h.Sum(nil)),
 	}
 }
@@ -133,7 +126,7 @@ type Metrics struct {
 // Metrics returns a counter snapshot.
 func (m *Memo) Metrics() Metrics {
 	m.mu.Lock()
-	n := len(m.entries)
+	n := m.entries.Len()
 	m.mu.Unlock()
 	return Metrics{
 		Hits:         m.hits.Load(),
@@ -154,7 +147,7 @@ func (m *Memo) Counters() (hits, misses uint64) {
 func (m *Memo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.entries)
+	return m.entries.Len()
 }
 
 // CountHits adds n probe hits to the counters on behalf of a caller
@@ -272,13 +265,12 @@ func (m *Memo) Lookup(p *Plan) (*Hit, bool) {
 	h := &Hit{plan: p, nodes: make([][]*ir.Node, len(p.keys))}
 	m.mu.Lock()
 	for i, key := range p.keys {
-		e, ok := m.entries[key]
+		e, ok := m.entries.Get(key)
 		if !ok {
 			m.mu.Unlock()
 			m.misses.Add(uint64(len(p.keys)))
 			return nil, false
 		}
-		m.touch(e)
 		if !e.identical {
 			h.nodes[i] = e.nodes
 		}
@@ -371,71 +363,18 @@ func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 		return false
 	}
 	for i, r := range results {
-		e := &entry{key: p.keys[i], identical: r.fp == p.spanFPs[i]}
+		e := entry{identical: r.fp == p.spanFPs[i]}
 		if !e.identical {
 			e.nodes = make([]*ir.Node, len(r.nodes))
 			for j, n := range r.nodes {
 				e.nodes[j] = n.Clone()
 			}
 		}
-		m.store(e)
+		m.mu.Lock()
+		evicted := m.entries.Add(p.keys[i], e)
+		m.mu.Unlock()
+		m.stores.Add(1)
+		m.evictions.Add(uint64(evicted))
 	}
 	return true
-}
-
-// store inserts or refreshes an entry, evicting from the LRU tail
-// past the bound.
-func (m *Memo) store(e *entry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if old, ok := m.entries[e.key]; ok {
-		m.unlink(old)
-		delete(m.entries, e.key)
-	}
-	m.entries[e.key] = e
-	m.pushFront(e)
-	m.stores.Add(1)
-	for len(m.entries) > m.max && m.tail != nil {
-		victim := m.tail
-		m.unlink(victim)
-		delete(m.entries, victim.key)
-		m.evictions.Add(1)
-	}
-}
-
-// touch moves e to the LRU head. Caller holds m.mu.
-func (m *Memo) touch(e *entry) {
-	if m.head == e {
-		return
-	}
-	m.unlink(e)
-	m.pushFront(e)
-}
-
-// pushFront links e at the LRU head. Caller holds m.mu.
-func (m *Memo) pushFront(e *entry) {
-	e.prev = nil
-	e.next = m.head
-	if m.head != nil {
-		m.head.prev = e
-	}
-	m.head = e
-	if m.tail == nil {
-		m.tail = e
-	}
-}
-
-// unlink removes e from the LRU list. Caller holds m.mu.
-func (m *Memo) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if m.head == e {
-		m.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if m.tail == e {
-		m.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

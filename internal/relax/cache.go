@@ -1,11 +1,11 @@
 package relax
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
 	"mao/internal/ir"
+	"mao/internal/lru"
 	"mao/internal/x86/encode"
 )
 
@@ -52,27 +52,13 @@ const (
 //
 // A Cache is safe for concurrent use; a nil *Cache disables caching.
 type Cache struct {
-	mu         sync.Mutex
-	node       map[*ir.Node]*list.Element
-	content    map[string]*list.Element
-	nodeLRU    *list.List // of nodeEntry, front = most recent
-	contentLRU *list.List // of contentEntry, front = most recent
-	nodeCap    int
-	contentCap int
+	mu      sync.Mutex
+	node    *lru.Cache[*ir.Node, []byte]
+	content *lru.Cache[string, []byte]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-}
-
-type nodeEntry struct {
-	key *ir.Node
-	b   []byte
-}
-
-type contentEntry struct {
-	key string
-	b   []byte
 }
 
 // NewCache returns an empty encoding cache with the default entry caps.
@@ -92,12 +78,8 @@ func NewCacheLimits(nodeEntries, contentEntries int) *Cache {
 		contentEntries = DefaultContentEntries
 	}
 	return &Cache{
-		node:       make(map[*ir.Node]*list.Element),
-		content:    make(map[string]*list.Element),
-		nodeLRU:    list.New(),
-		contentLRU: list.New(),
-		nodeCap:    nodeEntries,
-		contentCap: contentEntries,
+		node:    lru.New[*ir.Node, []byte](nodeEntries),
+		content: lru.New[string, []byte](contentEntries),
 	}
 }
 
@@ -111,15 +93,12 @@ func (c *Cache) lookup(n *ir.Node) ([]byte, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.node[n]; ok {
-		c.nodeLRU.MoveToFront(e)
+	if b, ok := c.node.Get(n); ok {
 		c.hits.Add(1)
-		return e.Value.(nodeEntry).b, true
+		return b, true
 	}
-	if e, ok := c.content[n.Inst.String()]; ok {
-		c.contentLRU.MoveToFront(e)
-		b := e.Value.(contentEntry).b
-		c.storeNodeLocked(n, b)
+	if b, ok := c.content.Get(n.Inst.String()); ok {
+		c.evictions.Add(int64(c.node.Add(n, b)))
 		c.hits.Add(1)
 		return b, true
 	}
@@ -135,36 +114,7 @@ func (c *Cache) store(n *ir.Node, b []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.storeNodeLocked(n, b)
-	key := n.Inst.String()
-	if e, ok := c.content[key]; ok {
-		c.contentLRU.MoveToFront(e)
-		return
-	}
-	c.content[key] = c.contentLRU.PushFront(contentEntry{key, b})
-	for c.contentLRU.Len() > c.contentCap {
-		back := c.contentLRU.Back()
-		delete(c.content, back.Value.(contentEntry).key)
-		c.contentLRU.Remove(back)
-		c.evictions.Add(1)
-	}
-}
-
-// storeNodeLocked inserts or refreshes a node-tier entry and enforces
-// the node cap. Callers hold c.mu.
-func (c *Cache) storeNodeLocked(n *ir.Node, b []byte) {
-	if e, ok := c.node[n]; ok {
-		e.Value = nodeEntry{n, b}
-		c.nodeLRU.MoveToFront(e)
-		return
-	}
-	c.node[n] = c.nodeLRU.PushFront(nodeEntry{n, b})
-	for c.nodeLRU.Len() > c.nodeCap {
-		back := c.nodeLRU.Back()
-		delete(c.node, back.Value.(nodeEntry).key)
-		c.nodeLRU.Remove(back)
-		c.evictions.Add(1)
-	}
+	c.evictions.Add(int64(c.node.Add(n, b) + c.content.Add(n.Inst.String(), b)))
 }
 
 // InvalidateFunction drops the node-tier entries of every node in the
@@ -179,10 +129,7 @@ func (c *Cache) InvalidateFunction(f *ir.Function) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range f.Entries() {
-		if e, ok := c.node[n]; ok {
-			c.nodeLRU.Remove(e)
-			delete(c.node, n)
-		}
+		c.node.Remove(n)
 	}
 }
 
@@ -194,8 +141,7 @@ func (c *Cache) InvalidateAll() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	clear(c.node)
-	c.nodeLRU.Init()
+	c.node.Clear()
 }
 
 // Len returns the current number of node- and content-tier entries.
@@ -205,7 +151,7 @@ func (c *Cache) Len() (nodes, contents int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.node), len(c.content)
+	return c.node.Len(), c.content.Len()
 }
 
 // Counters returns the cumulative hit and miss counts.

@@ -172,15 +172,20 @@ func TestBranchesNeverCached(t *testing.T) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for n := range c.node {
+	// Only u's nodes were ever offered to the cache, so probing each of
+	// its branches covers every node-tier key a branch could have.
+	for _, n := range findInsts(u) {
 		if op := n.Inst.Op; op == x86.OpJCC || op == x86.OpJMP {
-			t.Errorf("branch %v found in cache", n.Inst)
+			if _, ok := c.node.Get(n); ok {
+				t.Errorf("branch %v found in the node tier", n.Inst)
+			}
+			if _, ok := c.content.Get(n.Inst.String()); ok {
+				t.Errorf("branch %v found in the content tier", n.Inst)
+			}
 		}
 	}
-	for k := range c.content {
-		if k == "" {
-			t.Error("empty content key")
-		}
+	if _, ok := c.content.Get(""); ok {
+		t.Error("empty content key")
 	}
 }
 
@@ -275,9 +280,9 @@ func TestCacheLRUOrder(t *testing.T) {
 	enc(cacheable[0]) // refresh 0 → LRU order 1,0
 	enc(cacheable[2]) // evicts 1 → {0,2}
 	c.mu.Lock()
-	_, has0 := c.content[cacheable[0].Inst.String()]
-	_, has1 := c.content[cacheable[1].Inst.String()]
-	_, has2 := c.content[cacheable[2].Inst.String()]
+	_, has0 := c.content.Get(cacheable[0].Inst.String())
+	_, has1 := c.content.Get(cacheable[1].Inst.String())
+	_, has2 := c.content.Get(cacheable[2].Inst.String())
 	c.mu.Unlock()
 	if !has0 || has1 || !has2 {
 		t.Errorf("LRU order wrong: have0=%v have1=%v have2=%v (want t,f,t)", has0, has1, has2)

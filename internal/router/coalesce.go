@@ -1,29 +1,31 @@
 package router
 
-// Fleet-wide miss coalescing: when K identical /v1/optimize requests
-// are in flight at the router simultaneously, only one forward reaches
-// a shard; the other K-1 wait on it and replay the buffered response
-// with an X-Mao-Cache: coalesced verdict. The shard coalesces its own
-// concurrent misses too (internal/serve), but router-side coalescing
-// keeps the duplicate requests off the wire entirely — they consume no
-// shard connection, no admission slot, nothing.
+// Optimize requests cross the router as fully buffered forwards, which
+// is what lets identical in-flight misses coalesce: when K identical
+// /v1/optimize requests are in flight at the router simultaneously,
+// only one forward reaches a shard; the other K-1 wait on it and
+// replay the buffered response with an X-Mao-Cache: coalesced verdict.
+// The shard coalesces its own concurrent misses too (internal/serve),
+// but router-side coalescing keeps the duplicate requests off the wire
+// entirely — they consume no shard connection, no admission slot,
+// nothing. Both tiers share internal/flight; only the result type
+// differs.
 //
 // Identity is the routing key (routeKey): for JSON optimize requests
 // that is the daemon's own content-addressed result-cache key, so two
 // requests coalesce exactly when the daemon would give them the same
 // cache entry. Requests that opt out of caching (no_cache) or request
 // a trace (every traced response is unique — it carries that request's
-// hop span) never coalesce; archive submissions stream and take a
-// different path entirely.
+// hop span) take an unjoinable call instead: the same buffered forward,
+// shared with no one. Archive submissions stream and take the proxy
+// loop instead.
 //
-// The shared forward runs on a context detached from the leader's
-// client: a leader that disconnects mid-flight must not kill the
-// answer its followers are waiting on. The flight is refcounted; the
-// LAST waiter to abandon it cancels the forward, and an abandoned
-// flight is unmapped so later arrivals start fresh instead of adopting
-// a doomed run. The leader publishes a result on EVERY path — success,
-// failover exhaustion (502), read error — so a waiter can never hang
-// on a flight whose run died silently.
+// The forward runs on a context detached from the leader's client: a
+// leader that disconnects mid-flight must not kill the answer its
+// followers are waiting on. The LAST waiter to abandon the call
+// cancels the forward. The leader publishes a result on EVERY path —
+// success, failover exhaustion (502), read error — so a waiter can
+// never hang on a call whose forward died silently.
 
 import (
 	"context"
@@ -31,15 +33,21 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"mao/internal/flight"
 	"mao/internal/scope"
 )
 
+// flightTimeout bounds a buffered forward, which runs detached from
+// the leader's client context. It equals maod's default MaxDeadline:
+// no shard runs a request longer.
+const flightTimeout = 2 * time.Minute
+
 // proxyResult is one fully buffered shard response (or router-level
-// error), the unit a coalesced flight shares between its waiters.
+// error), the unit a coalesced call shares between its waiters.
 type proxyResult struct {
 	status int
 	header http.Header
@@ -50,100 +58,19 @@ type proxyResult struct {
 	// it with "coalesced" when writing their copy.
 	cache   string
 	retries int
+	// failoverFrom and failoverReason name the last shard that failed
+	// before shard answered, and why; the hop span of a traced request
+	// carries them.
+	failoverFrom, failoverReason string
 	// errMsg is non-empty for router-level failures (no shard
 	// reachable); it feeds the access log and flight record.
 	errMsg string
 }
 
-// routerFlight is one in-flight coalesced forward.
-type routerFlight struct {
-	g    *routerFlightGroup
-	key  string
-	done chan struct{} // closed once res is published
-
-	// All three guarded by g.mu.
-	res       proxyResult
-	refs      int
-	published bool
-	cancel    context.CancelFunc
-}
-
-// routerFlightGroup deduplicates in-flight forwards by routing key.
-type routerFlightGroup struct {
-	mu sync.Mutex
-	m  map[string]*routerFlight
-}
-
-func newRouterFlightGroup() *routerFlightGroup {
-	return &routerFlightGroup{m: make(map[string]*routerFlight)}
-}
-
-// join returns the flight for key, creating it if absent. The second
-// return is true for the caller that created it — the leader, who must
-// run the forward and publish on every path.
-func (g *routerFlightGroup) join(key string) (*routerFlight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		f.refs++
-		return f, false
-	}
-	f := &routerFlight{g: g, key: key, done: make(chan struct{}), refs: 1}
-	g.m[key] = f
-	return f, true
-}
-
-// setCancel installs the shared forward's cancel before any follower
-// can observe the flight as abandonable.
-func (f *routerFlight) setCancel(cancel context.CancelFunc) {
-	f.g.mu.Lock()
-	f.cancel = cancel
-	f.g.mu.Unlock()
-}
-
-// publish stores the result, retires the flight from the group, and
-// wakes every waiter. Idempotent against a racing last-leaver unmap.
-func (f *routerFlight) publish(res proxyResult) {
-	f.g.mu.Lock()
-	f.res = res
-	f.published = true
-	if f.g.m[f.key] == f {
-		delete(f.g.m, f.key)
-	}
-	cancel := f.cancel
-	f.g.mu.Unlock()
-	close(f.done)
-	if cancel != nil {
-		cancel() // release the timeout timer
-	}
-}
-
-// leave drops one waiter's reference. The last waiter to abandon an
-// unpublished flight unmaps it and cancels the shared forward — nobody
-// is left to read the answer.
-func (f *routerFlight) leave() {
-	f.g.mu.Lock()
-	f.refs--
-	var cancel context.CancelFunc
-	if f.refs == 0 && !f.published {
-		if f.g.m[f.key] == f {
-			delete(f.g.m, f.key)
-		}
-		cancel = f.cancel
-	}
-	f.g.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// coalescible reports whether a request may share a forward: a JSON
-// optimize POST that neither bypasses the cache nor requests a trace,
-// in either query-parameter or body-option spelling.
+// coalescible reports whether an optimize request may share a
+// forward: it neither bypasses the cache nor requests a trace, in
+// either query-parameter or body-option spelling.
 func coalescible(req *http.Request, body []byte) bool {
-	if req.Method != "POST" || req.URL.Path != "/v1/optimize" {
-		return false
-	}
 	q := req.URL.Query()
 	if q.Get("trace") != "" {
 		return false
@@ -166,40 +93,57 @@ func coalescible(req *http.Request, body []byte) bool {
 	return true
 }
 
-// coalesce serves one coalescible request through the flight group:
+// serveOptimize serves one optimize request through the flight group:
 // the leader forwards on a detached context and publishes; everyone
-// waits on the flight and replays the buffered response. Followers
+// waits on the call and replays the buffered response. Followers
 // report X-Mao-Cache: coalesced — the shard's verdict describes the
-// leader's request, not theirs.
-func (r *Router) coalesce(w http.ResponseWriter, req *http.Request, key string, body []byte, rid string, tc scope.Context, hop scope.Span, start time.Time) {
-	f, leader := r.flights.join(key)
+// leader's request, not theirs. A ?trace= response gets the hop span
+// spliced into its span tree.
+func (r *Router) serveOptimize(w http.ResponseWriter, req *http.Request, key string, body []byte, rid string, tc scope.Context, hop scope.Span, start time.Time) {
+	var c *flight.Call[proxyResult]
+	leader := true
+	if coalescible(req, body) {
+		c, leader = r.flights.Join(key)
+	} else {
+		c = r.flights.Solo()
+	}
 	if leader {
 		// Detached from the leader's client: followers may outlive it.
-		runCtx, runCancel := context.WithTimeout(
-			context.WithoutCancel(req.Context()), r.cfg.CoalesceTimeout)
-		f.setCancel(runCancel)
+		runCtx, runCancel := context.WithTimeout(context.WithoutCancel(req.Context()), flightTimeout)
+		c.SetCancel(runCancel)
 		go func() {
-			f.publish(r.forwardBuffered(runCtx, req, key, body, rid, tc, hop))
+			c.Publish(r.forwardBuffered(runCtx, req, key, body, rid, tc, hop))
 		}()
 	} else {
 		r.met.coalesced.Add(1)
 	}
 
-	select {
-	case <-f.done:
-	case <-req.Context().Done():
-		f.leave()
+	res, err := c.Wait(req.Context())
+	if err != nil {
 		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("request abandoned before the coalesced answer arrived"))
+			fmt.Errorf("request abandoned before the answer arrived"))
 		r.finishProxy(req, start, rid, tc, "", "", http.StatusServiceUnavailable, 0,
-			"client gone before the coalesced answer arrived")
+			"client gone before the answer arrived")
 		return
 	}
 
-	res := f.res
 	verdict := res.cache
 	if !leader {
 		verdict = "coalesced"
+	}
+	respBody := res.body
+	if res.status == http.StatusOK && req.URL.Query().Get("trace") != "" {
+		hop.DurNS = time.Since(start).Nanoseconds()
+		hop.Attrs = map[string]string{
+			"shard":   res.shard,
+			"attempt": strconv.Itoa(res.retries + 1),
+			"healthy": strconv.Itoa(r.Healthy()),
+		}
+		if res.failoverFrom != "" {
+			hop.Attrs["failover_from"] = res.failoverFrom
+			hop.Attrs["failover_reason"] = res.failoverReason
+		}
+		respBody = spliceTrace(respBody, hop)
 	}
 	copyHeaders(w.Header(), res.header)
 	if res.shard != "" {
@@ -210,30 +154,19 @@ func (r *Router) coalesce(w http.ResponseWriter, req *http.Request, key string, 
 	}
 	w.Header().Del("Content-Length") // recomputed for the replayed body
 	w.WriteHeader(res.status)
-	w.Write(res.body)
+	w.Write(respBody)
 	r.finishProxy(req, start, rid, tc, res.shard, verdict, res.status, res.retries, res.errMsg)
 }
 
-// forwardBuffered is the coalesced counterpart of proxy's forwarding
-// loop: same candidate selection, same failover-once semantics, same
-// passive health marking — but the response is fully buffered so it
-// can fan out to every waiter.
+// forwardBuffered is the buffered counterpart of proxy's forwarding
+// loop: same candidates, same failover-once semantics, same passive
+// health marking — but the response is fully buffered so it can fan
+// out to every waiter, and a shard dying mid-body fails over (or
+// answers 502) instead of truncating a committed response.
 func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key string, body []byte, rid string, tc scope.Context, hop scope.Span) proxyResult {
-	seq := r.ring.seq(key)
-	var candidates []*backend
-	for _, idx := range seq {
-		if b := r.backends[idx]; b.isHealthy() {
-			candidates = append(candidates, b)
-		}
-	}
-	if len(candidates) == 0 {
-		candidates = []*backend{r.backends[seq[0]]}
-	}
-	if len(candidates) > 2 {
-		candidates = candidates[:2]
-	}
-
+	candidates := r.candidates(key)
 	var lastErr error
+	var failedOver string
 	for attempt, b := range candidates {
 		if attempt > 0 {
 			r.met.retries.Add(1)
@@ -243,7 +176,7 @@ func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key str
 		if err != nil {
 			r.setHealthy(b, false, "forward failed: "+err.Error())
 			r.met.shard(b.name).errors.Add(1)
-			lastErr = err
+			lastErr, failedOver = err, b.name
 			continue
 		}
 		respBody, rerr := io.ReadAll(resp.Body)
@@ -253,17 +186,17 @@ func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key str
 			// waiter (the body is buffered), so failing over is safe.
 			r.setHealthy(b, false, "response read failed: "+rerr.Error())
 			r.met.shard(b.name).errors.Add(1)
-			lastErr = rerr
+			lastErr, failedOver = rerr, b.name
 			continue
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable && attempt < len(candidates)-1 {
 			r.setHealthy(b, false, "shard draining (503)")
-			lastErr = fmt.Errorf("shard %s answered 503 (draining)", b.name)
+			lastErr, failedOver = fmt.Errorf("shard %s answered 503 (draining)", b.name), b.name
 			continue
 		}
 		r.met.shard(b.name).requests.Add(1)
 		r.met.shard(b.name).latency.observe(time.Since(fwdStart).Seconds())
-		return proxyResult{
+		res := proxyResult{
 			status:  resp.StatusCode,
 			header:  resp.Header,
 			body:    respBody,
@@ -271,18 +204,21 @@ func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key str
 			cache:   resp.Header.Get(cacheHeader),
 			retries: attempt,
 		}
+		if lastErr != nil {
+			res.failoverFrom, res.failoverReason = failedOver, lastErr.Error()
+		}
+		return res
 	}
 
 	r.met.unrouted.Add(1)
 	err := fmt.Errorf("no shard reachable: %w", lastErr)
-	errBody, _ := json.Marshal(errorResponse{Error: err.Error()})
 	h := http.Header{}
 	h.Set("Content-Type", "application/json")
 	h.Set("Retry-After", "1")
 	return proxyResult{
 		status:  http.StatusBadGateway,
 		header:  h,
-		body:    append(errBody, '\n'),
+		body:    errorBody(err),
 		retries: len(candidates) - 1,
 		errMsg:  err.Error(),
 	}

@@ -126,28 +126,6 @@ func TestRouterCoalesceSharesOneForward(t *testing.T) {
 	}
 }
 
-// TestRouterCoalesceDisabled: with DisableCoalesce every request is
-// its own forward — the shard sees all K+1.
-func TestRouterCoalesceDisabled(t *testing.T) {
-	const n = 4
-	_, front, shardHits := coalesceFleet(t, Config{DisableCoalesce: true})
-	req := &serve.OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[100]:REDTEST"}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if st, body, _ := postOptimize(t, front.URL, req); st != 200 {
-				t.Errorf("status %d: %s", st, body)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := shardHits.Load(); got != n {
-		t.Errorf("shard saw %d forwards, want %d with coalescing disabled", got, n)
-	}
-}
-
 // TestRouterCoalesceBypassesTraceAndNoCache: requests that carry
 // ?trace= or no_cache never share a forward — a traced response is
 // unique to its request, and no_cache explicitly asks for a fresh run.

@@ -18,7 +18,9 @@
 // duplicate optimize requests share a single shard forward, with the
 // followers replaying the buffered response under an
 // X-Mao-Cache: coalesced verdict — a thundering herd of one hot
-// request costs the fleet one pipeline run, total.
+// request costs the fleet one pipeline run, total. Every optimize
+// request takes that buffered forward; everything else (archives
+// above all) streams.
 //
 // Failure handling: shards are health-checked via their /readyz
 // (which flips to 503 the moment a shard starts draining) and marked
@@ -43,12 +45,12 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"mao/internal/cachekey"
+	"mao/internal/flight"
 	"mao/internal/scope"
 )
 
@@ -69,14 +71,6 @@ type Config struct {
 	// MaxBodyBytes caps a proxied request body; bodies are buffered
 	// for key computation and retry (0 = 64 MiB).
 	MaxBodyBytes int64
-	// DisableCoalesce turns off in-flight miss coalescing (on by
-	// default): concurrent identical optimize requests share one shard
-	// forward, followers replaying the buffered response as
-	// X-Mao-Cache: coalesced. Sound because maod is deterministic.
-	DisableCoalesce bool
-	// CoalesceTimeout bounds a coalesced shard forward, which runs
-	// detached from the leader's client context (0 = 2m).
-	CoalesceTimeout time.Duration
 	// Logf, when non-nil, receives shard health transitions.
 	Logf func(format string, args ...any)
 	// AccessLog, when non-nil, receives one JSON line per proxied
@@ -102,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlightRecords == 0 {
 		c.FlightRecords = 512
-	}
-	if c.CoalesceTimeout <= 0 {
-		c.CoalesceTimeout = 2 * time.Minute
 	}
 	return c
 }
@@ -133,7 +124,7 @@ type Router struct {
 	client   *http.Client
 	met      *routerMetrics
 	flight   *scope.Recorder
-	flights  *routerFlightGroup // nil when coalescing is disabled
+	flights  flight.Group[proxyResult] // buffered optimize forwards, by routing key
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -169,9 +160,6 @@ func New(cfg Config) (*Router, error) {
 		flight:    newFlightRecorder(cfg.FlightRecords),
 		stopProbe: make(chan struct{}),
 		started:   time.Now(),
-	}
-	if !cfg.DisableCoalesce {
-		r.flights = newRouterFlightGroup()
 	}
 	if cfg.ProbeInterval > 0 {
 		r.probeWG.Add(1)
@@ -326,8 +314,9 @@ func routeKey(req *http.Request, body []byte) string {
 // once on the next ring candidate if the owner is down, dies before
 // answering, or is draining (503). Each forward is one MAOSCOPE hop
 // span: the shard receives the router's trace context (parented under
-// the hop), and a traced /v1/optimize response gets the hop span
-// spliced in so the client sees the full cross-process tree.
+// the hop). Optimize requests take the buffered forward (coalesce.go),
+// which also splices the hop span into traced responses; everything
+// else streams through the loop below.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	rid := req.Header.Get(requestIDHeader)
@@ -352,41 +341,13 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	}
 
 	key := routeKey(req, body)
-	// Identical in-flight misses share one forward (coalesce.go);
-	// everything else — archives, traces, no_cache — takes the
-	// streaming path below.
-	if r.flights != nil && coalescible(req, body) {
-		r.coalesce(w, req, key, body, rid, tc, hop, start)
+	if req.Method == "POST" && req.URL.Path == "/v1/optimize" {
+		r.serveOptimize(w, req, key, body, rid, tc, hop, start)
 		return
 	}
 
-	seq := r.ring.seq(key)
-	// Candidates: healthy shards in ring preference order. If every
-	// shard looks down, try the primary anyway — passive marks can be
-	// stale, and an honest 502 beats a guessed 503.
-	var candidates []*backend
-	for _, idx := range seq {
-		if b := r.backends[idx]; b.isHealthy() {
-			candidates = append(candidates, b)
-		}
-	}
-	if len(candidates) == 0 {
-		candidates = []*backend{r.backends[seq[0]]}
-	}
-	// One forward plus at most one retry: enough to survive a single
-	// dead shard without doubling load under a systemic outage.
-	if len(candidates) > 2 {
-		candidates = candidates[:2]
-	}
-
-	// A ?trace= optimize response is buffered (never streamed) so the
-	// router can splice its hop span into the span tree. Archive
-	// streams stay passthrough: their per-unit traces ride the NDJSON
-	// records untouched.
-	wantSplice := req.URL.Path == "/v1/optimize" && req.URL.Query().Get("trace") != ""
-
+	candidates := r.candidates(key)
 	var lastErr error
-	var failedOver string
 	for attempt, b := range candidates {
 		if attempt > 0 {
 			r.met.retries.Add(1)
@@ -401,7 +362,6 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 			r.setHealthy(b, false, "forward failed: "+err.Error())
 			r.met.shard(b.name).errors.Add(1)
 			lastErr = err
-			failedOver = b.name
 			continue
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable && attempt < len(candidates)-1 {
@@ -414,46 +374,16 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 			resp.Body.Close()
 			r.setHealthy(b, false, "shard draining (503)")
 			lastErr = fmt.Errorf("shard %s answered 503 (draining)", b.name)
-			failedOver = b.name
 			continue
 		}
 		r.met.shard(b.name).requests.Add(1)
 		w.Header().Set(shardHeader, b.name)
-		cache := resp.Header.Get(cacheHeader)
 		copyHeaders(w.Header(), resp.Header)
-		if wantSplice && resp.StatusCode == http.StatusOK {
-			respBody, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr != nil && attempt < len(candidates)-1 {
-				// The shard died mid-body; nothing is committed yet
-				// (the body was fully buffered), so fail over.
-				r.setHealthy(b, false, "response read failed: "+rerr.Error())
-				r.met.shard(b.name).errors.Add(1)
-				lastErr = rerr
-				failedOver = b.name
-				continue
-			}
-			hop.DurNS = time.Since(start).Nanoseconds()
-			hop.Attrs = map[string]string{
-				"shard":   b.name,
-				"attempt": strconv.Itoa(attempt + 1),
-				"healthy": strconv.Itoa(r.Healthy()),
-			}
-			if failedOver != "" {
-				hop.Attrs["failover_from"] = failedOver
-				hop.Attrs["failover_reason"] = lastErr.Error()
-			}
-			respBody = spliceTrace(respBody, hop)
-			w.Header().Del("Content-Length")
-			w.WriteHeader(resp.StatusCode)
-			w.Write(respBody)
-		} else {
-			w.WriteHeader(resp.StatusCode)
-			streamBody(w, resp.Body)
-			resp.Body.Close()
-		}
+		w.WriteHeader(resp.StatusCode)
+		streamBody(w, resp.Body)
+		resp.Body.Close()
 		r.met.shard(b.name).latency.observe(time.Since(fwdStart).Seconds())
-		r.finishProxy(req, start, rid, tc, b.name, cache, resp.StatusCode, attempt, "")
+		r.finishProxy(req, start, rid, tc, b.name, resp.Header.Get(cacheHeader), resp.StatusCode, attempt, "")
 		return
 	}
 	r.met.unrouted.Add(1)
@@ -463,9 +393,32 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	r.finishProxy(req, start, rid, tc, "", "", http.StatusBadGateway, len(candidates)-1, err.Error())
 }
 
+// candidates returns the shards to try for key: healthy shards in ring
+// preference order, cut to one forward plus at most one retry — enough
+// to survive a single dead shard without doubling load under a
+// systemic outage. If every shard looks down, the primary is tried
+// anyway: passive marks can be stale, and an honest 502 beats a
+// guessed 503.
+func (r *Router) candidates(key string) []*backend {
+	seq := r.ring.seq(key)
+	var out []*backend
+	for _, idx := range seq {
+		if b := r.backends[idx]; b.isHealthy() {
+			out = append(out, b)
+			if len(out) == 2 {
+				break
+			}
+		}
+	}
+	if len(out) == 0 {
+		out = []*backend{r.backends[seq[0]]}
+	}
+	return out
+}
+
 // forward sends one copy of the request to b under ctx. On the
 // streaming path ctx is the client's — a client that disconnects or
-// times out cancels the shard hop too; a coalesced forward passes a
+// times out cancels the shard hop too; a buffered forward passes a
 // detached context instead, because followers may outlive the leader's
 // client. The shard sees the router's trace context — the hop span as
 // parent — so its span tree stitches under the hop.
@@ -545,7 +498,16 @@ type errorResponse struct {
 func writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	w.Write(errorBody(err))
+}
+
+// errorBody is the JSON body of a router-level error answer, the same
+// bytes whether it is written directly or replayed from a buffered
+// forward.
+func errorBody(err error) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetEscapeHTML(false)
 	enc.Encode(errorResponse{Error: err.Error()})
+	return b.Bytes()
 }

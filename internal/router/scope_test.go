@@ -179,6 +179,42 @@ func TestRouterFailoverTracePropagation(t *testing.T) {
 	}
 }
 
+// TestRouterTracedTruncatedBodyIs502: a traced request whose last
+// candidate shard dies mid-body answers 502 — the buffered forward
+// never commits a truncated body as a 200.
+func TestRouterTracedTruncatedBodyIs502(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", "1000")
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(`{"assembly":"`)) // then the connection drops
+	}))
+	t.Cleanup(shard.Close)
+	r, err := New(Config{Shards: []string{shard.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(r)
+	t.Cleanup(func() { front.Close(); r.Close() })
+
+	body, _ := json.Marshal(&serve.OptimizeRequest{Source: testSource, Spec: "REDTEST"})
+	resp, err := http.Post(front.URL+"/v1/optimize?trace=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("reading the router's answer: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502: %s", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), "no shard reachable") {
+		t.Errorf("502 body %q lacks the failure reason", raw)
+	}
+}
+
 // TestTraceByteDeterminismAcrossWorkers: the same traced request
 // fetched through the router is byte-identical whether the shard runs
 // 1 worker or 8, once the only nondeterministic span fields (wall

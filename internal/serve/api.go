@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mao/internal/check"
+	"mao/internal/flight"
 	"mao/internal/pass"
 	"mao/internal/scope"
 	"mao/internal/trace"
@@ -184,11 +185,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := resultKey(req)
-	// Trace requests bypass the cache lookup: spans describe one
-	// execution, and a cached answer has none to offer. The fresh
-	// (trace-free) result is still stored, so tracing never degrades
-	// the cache for other callers.
-	if !req.Options.NoCache && req.Options.Trace == "" {
+	// no_cache and ?trace requests neither read the cache nor share a
+	// run: the first asked for a fresh run, the second needs its own
+	// span tree (a cached or shared answer has none to offer). Their
+	// fresh (trace-free) result is still stored, so tracing never
+	// degrades the cache for other callers.
+	shared := shareable(req)
+	if shared {
 		if resp, ok := s.results.get(key); ok {
 			cached := *resp
 			cached.Cached = true
@@ -203,14 +206,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	// In-flight miss coalescing: identical misses share one pipeline
 	// run. Followers consume no queue slot and answer the moment the
-	// leader's run lands; no_cache and ?trace requests never coalesce
-	// (the first asked for a fresh run, the second needs its own span
-	// tree).
-	var f *flight
-	leader := true
-	if s.flights != nil && !req.Options.NoCache && req.Options.Trace == "" {
-		f, leader = s.flights.join(key)
-	}
+	// leader's run lands.
+	c, leader := s.call(key, shared)
 	verdict := "miss"
 	if !leader {
 		verdict = "coalesced"
@@ -224,94 +221,77 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req))
 	defer cancel()
 
-	if f == nil {
-		// Uncoalescible: this request owns its run, start to finish.
-		col := trace.NewCollector()
-		col.TraceID = requestIDFrom(ctx)
-		j := &job{req: req, key: key, ctx: ctx, done: make(chan jobResult, 1),
-			col: col, admitted: col.Now()}
-		if ok, retryAfter := s.admit(j); !ok {
-			if retryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-				writeFlightError(w, fi, http.StatusTooManyRequests, errors.New("optimization queue is full"))
-			} else {
-				writeFlightError(w, fi, http.StatusServiceUnavailable, errors.New("server is draining"))
-			}
-			return
-		}
-
-		select {
-		case res := <-j.done:
-			if fi != nil {
-				fi.queueNS = res.queueNS
-				fi.spans = res.spans
-			}
-			if res.err != nil {
-				writeFlightError(w, fi, res.status, res.err)
-				return
-			}
-			resp := res.resp
-			if mode := req.Options.Trace; mode != "" {
-				resp = traceResponse(resp, res.spans, scopeContextFrom(r.Context()), key, mode)
-			}
-			writeJSON(w, http.StatusOK, resp)
-		case <-ctx.Done():
-			// Deadline expired (or client went away) while the job was
-			// still queued or running; the worker will observe the same
-			// context and discard the job.
-			writeFlightError(w, fi, statusForCtx(ctx.Err()), fmt.Errorf("request abandoned: %w", ctx.Err()))
-		}
-		return
-	}
-
 	if leader {
-		// The shared run is detached from this request's context —
-		// followers may outlive this handler — but bounded by the same
-		// deadline; the last waiter to leave cancels it. WithoutCancel
-		// keeps the request-ID/trace values for the spans.
-		runCtx, runCancel := context.WithTimeout(context.WithoutCancel(r.Context()), s.deadlineFor(req))
-		f.setCancel(runCancel)
-		col := trace.NewCollector()
-		col.TraceID = requestIDFrom(runCtx)
-		j := &job{req: req, key: key, ctx: runCtx, done: make(chan jobResult, 1),
-			col: col, admitted: col.Now()}
+		j := s.leaderJob(c, r.Context(), req, key)
 		if ok, retryAfter := s.admit(j); !ok {
 			// The leader publishes on every path — a refusal becomes the
 			// shared result, so no waiter ever hangs on a run that never
 			// started.
 			if retryAfter > 0 {
-				f.publish(jobResult{status: http.StatusTooManyRequests, err: errors.New("optimization queue is full")})
+				c.Publish(jobResult{status: http.StatusTooManyRequests, err: errors.New("optimization queue is full")})
 			} else {
-				f.publish(jobResult{status: http.StatusServiceUnavailable, err: errors.New("server is draining")})
+				c.Publish(jobResult{status: http.StatusServiceUnavailable, err: errors.New("server is draining")})
 			}
 		} else {
-			// The driver outlives this handler. Close drains every
+			// The publisher outlives this handler. Close drains every
 			// admitted job — j.done always receives exactly once — so
 			// every waiter gets a result or a clean error even when the
 			// server shuts down mid-flight.
-			go func() { f.publish(<-j.done) }()
+			go func() { c.Publish(<-j.done) }()
 		}
 	}
 
-	select {
-	case <-f.done:
-		res := f.res
-		if fi != nil {
-			fi.queueNS = res.queueNS
-			fi.spans = res.spans
-		}
-		if res.err != nil {
-			if res.status == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", "1")
-			}
-			writeFlightError(w, fi, res.status, res.err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res.resp)
-	case <-ctx.Done():
-		f.leave()
-		writeFlightError(w, fi, statusForCtx(ctx.Err()), fmt.Errorf("request abandoned: %w", ctx.Err()))
+	res, err := c.Wait(ctx)
+	if err != nil {
+		// Deadline expired (or client went away) while the run was still
+		// queued or running; the last waiter out canceled it.
+		writeFlightError(w, fi, statusForCtx(err), fmt.Errorf("request abandoned: %w", err))
+		return
 	}
+	if fi != nil {
+		fi.queueNS = res.queueNS
+		fi.spans = res.spans
+	}
+	if res.err != nil {
+		if res.status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "1")
+		}
+		writeFlightError(w, fi, res.status, res.err)
+		return
+	}
+	resp := res.resp
+	if mode := req.Options.Trace; mode != "" {
+		resp = traceResponse(resp, res.spans, scopeContextFrom(r.Context()), key, mode)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// shareable reports whether a request may be answered from the result
+// cache or from another request's run.
+func shareable(req *OptimizeRequest) bool {
+	return !req.Options.NoCache && req.Options.Trace == ""
+}
+
+// call joins key's in-flight run when the request may share one;
+// otherwise it takes an unjoinable call, which this request leads.
+func (s *Server) call(key string, shared bool) (c *flight.Call[jobResult], leader bool) {
+	if shared {
+		return s.flights.Join(key)
+	}
+	return s.flights.Solo(), true
+}
+
+// leaderJob builds the job that runs call c. The run is detached from
+// the leader's request — followers may outlive it — but bounded by the
+// same deadline; the last waiter to leave cancels it. WithoutCancel
+// keeps the request-ID/trace values for the spans.
+func (s *Server) leaderJob(c *flight.Call[jobResult], parent context.Context, req *OptimizeRequest, key string) *job {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(parent), s.deadlineFor(req))
+	c.SetCancel(cancel)
+	col := trace.NewCollector()
+	col.TraceID = requestIDFrom(ctx)
+	return &job{req: req, key: key, ctx: ctx, done: make(chan jobResult, 1),
+		col: col, admitted: col.Now()}
 }
 
 // writeFlightError reports err on the wire and into the request's

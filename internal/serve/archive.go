@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"mao/internal/check"
+	"mao/internal/flight"
 	"mao/internal/scope"
-	"mao/internal/trace"
 )
 
 // The archive request path: POST /v1/optimize/archive accepts a whole
@@ -257,12 +257,35 @@ func (s *Server) archiveWindow() int {
 // the writer loop, and therefore Server.Close, always terminate.
 func (s *Server) submitArchive(ctx context.Context, client string, units []archiveUnit, proto *OptimizeRequest, tc scope.Context, outcomes chan<- ArchiveRecord) {
 	window := make(chan struct{}, s.archiveWindow())
-	abort := func(i int, status int, why string) {
-		outcomes <- ArchiveRecord{Index: i, Name: units[i].name, Status: status, Error: why}
-	}
 	abortRest := func(from int, status int, why string) {
 		for i := from; i < len(units); i++ {
-			abort(i, status, why)
+			outcomes <- ArchiveRecord{Index: i, Name: units[i].name, Status: status, Error: why}
+		}
+	}
+	// Traced archives bypass the cache lookup and coalescing exactly
+	// like traced single requests: every unit executes, so every
+	// record carries a span tree.
+	shared := shareable(proto)
+	// wait posts unit i's outcome once its call publishes: verdict is
+	// "miss" for the unit that led the run, "coalesced" for units that
+	// rode along.
+	wait := func(i int, name, key, verdict string, c *flight.Call[jobResult]) {
+		res, err := c.Wait(ctx)
+		switch {
+		case err != nil:
+			outcomes <- ArchiveRecord{Index: i, Name: name, Status: statusForCtx(err), Error: "unit abandoned: " + err.Error()}
+		case res.err != nil:
+			outcomes <- ArchiveRecord{Index: i, Name: name, Status: res.status, Error: res.err.Error()}
+		default:
+			rec := recordFor(i, name, res.resp, false)
+			rec.Cache = verdict
+			if proto.Options.Trace != "" {
+				// The unit's content address salts its span IDs, so
+				// sibling units under the shared trace context get
+				// disjoint ID spaces.
+				rec.Trace = scope.Project(res.spans, tc, "maod", key)
+			}
+			outcomes <- rec
 		}
 	}
 	for i, u := range units {
@@ -274,10 +297,7 @@ func (s *Server) submitArchive(ctx context.Context, client string, units []archi
 		}
 		req := &OptimizeRequest{Name: u.name, Source: u.source, Spec: proto.Spec, Options: proto.Options}
 		key := resultKey(req)
-		// Traced archives bypass the cache lookup exactly like traced
-		// single requests: every unit executes, so every record carries
-		// a span tree.
-		if !req.Options.NoCache && req.Options.Trace == "" {
+		if shared {
 			if resp, ok := s.results.get(key); ok {
 				outcomes <- recordFor(i, u.name, resp, true)
 				continue
@@ -287,122 +307,44 @@ func (s *Server) submitArchive(ctx context.Context, client string, units []archi
 		// one already running — in this archive or any concurrent
 		// request — waits on the shared run instead of admitting its
 		// own. Followers consume neither a queue slot nor a window slot.
-		var f *flight
-		leader := true
-		if s.flights != nil && !req.Options.NoCache && req.Options.Trace == "" {
-			f, leader = s.flights.join(key)
-		}
-		if f != nil && !leader {
+		c, leader := s.call(key, shared)
+		if !leader {
 			s.met.coalescedTotal.Add(1)
-			go func(i int, name string) {
-				select {
-				case <-f.done:
-					outcomes <- flightRecord(i, name, f.res, "coalesced")
-				case <-ctx.Done():
-					f.leave()
-					outcomes <- ArchiveRecord{
-						Index: i, Name: name, Status: statusForCtx(ctx.Err()),
-						Error: "unit abandoned: " + ctx.Err().Error(),
-					}
-				}
-			}(i, u.name)
+			go wait(i, u.name, key, "coalesced", c)
 			continue
+		}
+		// The leader publishes on every path, so cross-request waiters
+		// never hang on a run that will not start.
+		abortCtx := func() {
+			err := fmt.Errorf("archive aborted: %w", ctx.Err())
+			c.Publish(jobResult{status: statusForCtx(ctx.Err()), err: err})
+			abortRest(i, statusForCtx(ctx.Err()), err.Error())
 		}
 		select {
 		case window <- struct{}{}:
 		case <-ctx.Done():
-			if f != nil {
-				// The leader publishes on every path, so cross-request
-				// waiters never hang on a run that will not start.
-				f.publish(jobResult{status: statusForCtx(ctx.Err()),
-					err: fmt.Errorf("archive aborted: %w", ctx.Err())})
-			}
-			abortRest(i, statusForCtx(ctx.Err()), "archive aborted: "+ctx.Err().Error())
+			abortCtx()
 			return
 		}
-		col := trace.NewCollector()
-		col.TraceID = requestIDFrom(ctx)
-		runCtx := ctx
-		if f != nil {
-			// The shared run must survive this archive's cancellation
-			// for waiters on other requests; the last waiter out
-			// cancels it.
-			rc, rcancel := context.WithTimeout(context.WithoutCancel(ctx), s.deadlineFor(proto))
-			f.setCancel(rcancel)
-			runCtx = rc
-		}
-		j := &job{req: req, key: key, ctx: runCtx, done: make(chan jobResult, 1),
-			col: col, admitted: col.Now()}
+		// The shared run must survive this archive's cancellation for
+		// waiters on other requests; the last waiter out cancels it.
+		j := s.leaderJob(c, ctx, req, key)
 		if !s.admitArchiveJob(ctx, j) {
-			if f != nil {
-				if ctx.Err() != nil {
-					f.publish(jobResult{status: statusForCtx(ctx.Err()),
-						err: fmt.Errorf("archive aborted: %w", ctx.Err())})
-				} else {
-					f.publish(jobResult{status: http.StatusServiceUnavailable,
-						err: errors.New("server is draining")})
-				}
-			}
 			<-window
 			if ctx.Err() != nil {
-				abortRest(i, statusForCtx(ctx.Err()), "archive aborted: "+ctx.Err().Error())
+				abortCtx()
 			} else {
+				c.Publish(jobResult{status: http.StatusServiceUnavailable, err: errors.New("server is draining")})
 				abortRest(i, http.StatusServiceUnavailable, "archive aborted: server is draining")
 			}
 			return
 		}
-		if f != nil {
-			go func(f *flight, j *job) { f.publish(<-j.done) }(f, j)
-		}
-		go func(i int, name, key string, f *flight) {
+		go func() { c.Publish(<-j.done) }()
+		go func() {
 			defer func() { <-window }()
-			if f != nil {
-				select {
-				case <-f.done:
-					outcomes <- flightRecord(i, name, f.res, "miss")
-				case <-ctx.Done():
-					f.leave()
-					outcomes <- ArchiveRecord{
-						Index: i, Name: name, Status: statusForCtx(ctx.Err()),
-						Error: "unit abandoned: " + ctx.Err().Error(),
-					}
-				}
-				return
-			}
-			select {
-			case res := <-j.done:
-				if res.err != nil {
-					outcomes <- ArchiveRecord{Index: i, Name: name, Status: res.status, Error: res.err.Error()}
-					return
-				}
-				rec := recordFor(i, name, res.resp, false)
-				if proto.Options.Trace != "" {
-					// The unit's content address salts its span IDs, so
-					// sibling units under the shared trace context get
-					// disjoint ID spaces.
-					rec.Trace = scope.Project(res.spans, tc, "maod", key)
-				}
-				outcomes <- rec
-			case <-ctx.Done():
-				outcomes <- ArchiveRecord{
-					Index: i, Name: name, Status: statusForCtx(ctx.Err()),
-					Error: "unit abandoned: " + ctx.Err().Error(),
-				}
-			}
-		}(i, u.name, key, f)
+			wait(i, u.name, key, "miss", c)
+		}()
 	}
-}
-
-// flightRecord projects a shared-flight outcome onto the record
-// schema: verdict is "miss" for the unit that led the run, "coalesced"
-// for units that rode along.
-func flightRecord(i int, name string, res jobResult, verdict string) ArchiveRecord {
-	if res.err != nil {
-		return ArchiveRecord{Index: i, Name: name, Status: res.status, Error: res.err.Error()}
-	}
-	rec := recordFor(i, name, res.resp, false)
-	rec.Cache = verdict
-	return rec
 }
 
 // admitArchiveJob admits j, retrying while the queue is full. It

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"testing"
@@ -91,26 +92,79 @@ func TestCoalesceSharesOneRun(t *testing.T) {
 	}
 }
 
-// TestCoalesceDisabled: with DisableCoalesce every identical miss
-// admits its own run.
-func TestCoalesceDisabled(t *testing.T) {
-	const n = 4
-	s, ts := testServer(t, Config{ResultCacheEntries: -1, DisableCoalesce: true})
-	req := &OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[100]:REDTEST"}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if st, _, v := postRaw(t, ts.URL, req); st != 200 || v != "miss" {
-				t.Errorf("status %d verdict %q, want 200 miss", st, v)
+// TestCoalesceBypassesTraceAndNoCache: concurrent identical requests
+// that carry ?trace= or no_cache never share a run — each takes an
+// unjoinable call and executes its own job.
+func TestCoalesceBypassesTraceAndNoCache(t *testing.T) {
+	for _, tc := range []struct {
+		name, query string
+		opts        OptimizeOptions
+	}{
+		{"trace", "?trace=1", OptimizeOptions{}},
+		{"no_cache", "", OptimizeOptions{NoCache: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := testServer(t, Config{})
+			body, _ := json.Marshal(&OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[250]:REDTEST", Options: tc.opts})
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+"/v1/optimize"+tc.query, "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if v := resp.Header.Get(cacheHeader); resp.StatusCode != 200 || v != "miss" {
+						t.Errorf("status %d verdict %q, want 200 miss", resp.StatusCode, v)
+					}
+				}()
+				if i == 0 {
+					// The second request arrives while the first runs.
+					time.Sleep(50 * time.Millisecond)
+				}
 			}
-		}()
+			wg.Wait()
+			if got := s.met.batchJobsTotal.Load(); got != 2 {
+				t.Errorf("pipeline executed %d jobs, want 2 (one per request)", got)
+			}
+			if got := s.met.coalescedTotal.Load(); got != 0 {
+				t.Errorf("maod_coalesced_total = %d, want 0", got)
+			}
+		})
 	}
-	wg.Wait()
-	if got := s.met.batchJobsTotal.Load(); got != n {
-		t.Errorf("pipeline executed %d jobs, want %d with coalescing disabled", got, n)
-	}
+}
+
+// TestNoCacheAbandonFreesWorker: a client that walks away from its
+// no_cache request cancels that request's run — it is the call's only
+// waiter — so the worker is free long before the pass would finish.
+func TestNoCacheAbandonFreesWorker(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1})
+	body, _ := json.Marshal(&OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[10000]:REDTEST",
+		Options: OptimizeOptions{NoCache: true}})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	hr, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/optimize", bytes.NewReader(body))
+	hr.Header.Set("Content-Type", "application/json")
+	done := make(chan struct{})
+	go func() {
+		resp, err := http.DefaultClient.Do(hr)
+		if err == nil {
+			resp.Body.Close()
+		}
+		close(done)
+	}()
+	waitFor(t, "the no_cache run to start", func() bool { return s.inflight.Load() == 1 })
+	cancel()
+	<-done
+
+	// waitFor gives up after 5s, half the run's 10s sleep.
+	waitFor(t, "abandoned no_cache run to unwind", func() bool {
+		return s.inflight.Load() == 0
+	})
 }
 
 // TestCoalesceCloseMidFlight: Server.Close while a coalesced flight is

@@ -259,19 +259,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Pipeline memo (MAOMEMO): function-granular memoized pipeline
 	// results shared across all requests.
-	if s.memo != nil {
-		mm := s.memo.Metrics()
-		writeMetric("Pipeline-memo function probes answered from the memo.", "counter",
-			"maod_memo_hits_total", "", strconv.FormatUint(mm.Hits, 10))
-		writeMetric("Pipeline-memo function probes that missed.", "counter",
-			"maod_memo_misses_total", "", strconv.FormatUint(mm.Misses, 10))
-		writeMetric("Pipeline-memo entries stored.", "counter",
-			"maod_memo_stores_total", "", strconv.FormatUint(mm.Stores, 10))
-		writeMetric("Pipeline-memo entries evicted by the LRU bound.", "counter",
-			"maod_memo_evictions_total", "", strconv.FormatUint(mm.Evictions, 10))
-		writeMetric("Pipeline-memo resident entries.", "gauge",
-			"maod_memo_entries", "", strconv.Itoa(mm.Entries))
-	}
+	mm := s.memo.Metrics()
+	writeMetric("Pipeline-memo function probes answered from the memo.", "counter",
+		"maod_memo_hits_total", "", strconv.FormatUint(mm.Hits, 10))
+	writeMetric("Pipeline-memo function probes that missed.", "counter",
+		"maod_memo_misses_total", "", strconv.FormatUint(mm.Misses, 10))
+	writeMetric("Pipeline-memo entries stored.", "counter",
+		"maod_memo_stores_total", "", strconv.FormatUint(mm.Stores, 10))
+	writeMetric("Pipeline-memo entries evicted by the LRU bound.", "counter",
+		"maod_memo_evictions_total", "", strconv.FormatUint(mm.Evictions, 10))
+	writeMetric("Pipeline-memo resident entries.", "gauge",
+		"maod_memo_entries", "", strconv.Itoa(mm.Entries))
 	writeMetric("Requests coalesced onto another request's in-flight identical run.", "counter",
 		"maod_coalesced_total", "", strconv.FormatInt(m.coalescedTotal.Load(), 10))
 

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
 	"mao/internal/cachekey"
+	"mao/internal/lru"
 )
 
 // resultKey builds the content address of a request: the SHA-256 of
@@ -30,79 +30,57 @@ func resultKey(req *OptimizeRequest) string {
 // once stored (handlers serialize them without copying).
 type resultCache struct {
 	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // of resultEntry, front = most recent
-	cap     int
+	entries *lru.Cache[string, *OptimizeResponse] // nil when disabled
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 }
 
-type resultEntry struct {
-	key  string
-	resp *OptimizeResponse
-}
-
 // newResultCache returns a cache holding at most capEntries responses;
 // capEntries < 0 disables caching entirely (every get misses, puts are
 // dropped).
 func newResultCache(capEntries int) *resultCache {
-	c := &resultCache{cap: capEntries}
+	c := &resultCache{}
 	if capEntries > 0 {
-		c.entries = make(map[string]*list.Element)
-		c.lru = list.New()
+		c.entries = lru.New[string, *OptimizeResponse](capEntries)
 	}
 	return c
 }
 
-func (c *resultCache) enabled() bool { return c.cap > 0 }
-
 // get returns the cached response for key, refreshing its recency.
 func (c *resultCache) get(key string) (*OptimizeResponse, bool) {
-	if !c.enabled() || key == "" {
+	if c.entries == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
+	resp, ok := c.entries.Get(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
 		c.misses.Add(1)
-		return nil, false
 	}
-	c.lru.MoveToFront(e)
-	c.hits.Add(1)
-	return e.Value.(resultEntry).resp, true
+	return resp, ok
 }
 
 // put stores a completed response, evicting the least recently used
 // entry beyond the cap.
 func (c *resultCache) put(key string, resp *OptimizeResponse) {
-	if !c.enabled() || key == "" {
+	if c.entries == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.Value = resultEntry{key, resp}
-		c.lru.MoveToFront(e)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(resultEntry{key, resp})
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		delete(c.entries, back.Value.(resultEntry).key)
-		c.lru.Remove(back)
-		c.evictions.Add(1)
-	}
+	c.evictions.Add(int64(c.entries.Add(key, resp)))
 }
 
 // len returns the current entry count.
 func (c *resultCache) len() int {
-	if !c.enabled() {
+	if c.entries == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.entries.Len()
 }

@@ -50,6 +50,7 @@ import (
 
 	"mao/internal/asm"
 	"mao/internal/check"
+	"mao/internal/flight"
 	"mao/internal/memo"
 	"mao/internal/pass"
 	_ "mao/internal/passes" // register the pass catalog
@@ -77,20 +78,6 @@ type Config struct {
 	// ResultCacheEntries caps the content-addressed result cache
 	// (0 = 512, negative disables the cache).
 	ResultCacheEntries int
-	// MemoEntries caps the shared function-granular pipeline memo:
-	// a unit whose functions were all optimized before (under the same
-	// spec, by any request) skips the pipeline and splices the memoized
-	// spans, byte-identical to a cold run (0 = the memo default 65536,
-	// negative disables memoization).
-	MemoEntries int
-	// DisableCoalesce turns off in-flight miss coalescing (concurrent
-	// identical misses sharing one pipeline run). On by default: the
-	// optimizer is deterministic, so sharing a run is always sound.
-	DisableCoalesce bool
-	// RelaxNodeEntries / RelaxContentEntries bound the shared
-	// relaxation/encoding cache tiers (0 = relax defaults).
-	RelaxNodeEntries    int
-	RelaxContentEntries int
 	// PipelineWorkers is the per-pipeline worker count handed to
 	// pass.Manager (mao -j). The default 1 runs each pipeline
 	// sequentially: under server load, parallelism across requests
@@ -166,7 +153,7 @@ func (c Config) withDefaults() Config {
 // queue → batcher → worker pipeline.
 type job struct {
 	req  *OptimizeRequest
-	key  string // content address; "" when the result cache is off
+	key  string // content address
 	ctx  context.Context
 	done chan jobResult // buffered(1); the worker always sends exactly once
 
@@ -196,8 +183,8 @@ type Server struct {
 	cfg        Config
 	relaxCache *relax.Cache
 	results    *resultCache
-	memo       *memo.Memo   // nil when Config.MemoEntries < 0
-	flights    *flightGroup // nil when Config.DisableCoalesce
+	memo       *memo.Memo
+	flights    flight.Group[jobResult] // identical in-flight misses, by result-cache key
 	met        *metrics
 	quota      *quotas         // nil when Config.QuotaRate == 0
 	flight     *scope.Recorder // nil when Config.FlightRecords < 0
@@ -224,7 +211,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:          cfg,
-		relaxCache:   relax.NewCacheLimits(cfg.RelaxNodeEntries, cfg.RelaxContentEntries),
+		relaxCache:   relax.NewCache(),
 		results:      newResultCache(cfg.ResultCacheEntries),
 		met:          newMetrics(),
 		quota:        newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
@@ -235,14 +222,9 @@ func New(cfg Config) *Server {
 		dispatchDone: make(chan struct{}),
 		started:      time.Now(),
 	}
-	if cfg.MemoEntries >= 0 {
-		// Salted exactly like mao.NewMemo: entries never outlive the
-		// pass catalog or validator semantics they were filled under.
-		s.memo = memo.New(cfg.MemoEntries, pass.CatalogVersion(), check.Version, verify.Version)
-	}
-	if !cfg.DisableCoalesce {
-		s.flights = newFlightGroup()
-	}
+	// Salted exactly like mao.NewMemo: entries never outlive the pass
+	// catalog or validator semantics they were filled under.
+	s.memo = memo.New(0, pass.CatalogVersion(), check.Version, verify.Version)
 	s.grouper = newBatcher(cfg.BatchWindow, cfg.BatchMax, s.batches)
 	go s.dispatch()
 	for i := 0; i < cfg.Workers; i++ {
@@ -337,8 +319,7 @@ func (s *Server) worker() {
 func (s *Server) runBatch(bt *batch, st *relax.State) {
 	n := int64(len(bt.jobs))
 	s.queued.Add(-n)
-	s.inflight.Add(n)
-	defer s.inflight.Add(-n)
+	s.inflight.Add(n) // each job leaves as runJob posts its result
 	s.met.batchesTotal.Add(1)
 	s.met.batchJobsTotal.Add(n)
 	for _, j := range bt.jobs {
@@ -352,7 +333,7 @@ func (s *Server) runBatch(bt *batch, st *relax.State) {
 // to the CLI.
 func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 	if err := j.ctx.Err(); err != nil {
-		j.done <- jobResult{status: statusForCtx(err), err: err}
+		s.post(j, jobResult{status: statusForCtx(err), err: err})
 		return
 	}
 	// Every request's pipeline is traced: the collector carries the
@@ -382,7 +363,7 @@ func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 		res.spans = col.Spans()
 		res.queueNS = int64(wait)
 		s.met.observePassSpans(res.spans)
-		j.done <- res
+		s.post(j, res)
 	}
 	u, err := asm.ParseString(j.req.unitName(), j.req.Source)
 	if err != nil {
@@ -406,7 +387,7 @@ func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 	// so ?trace= always describes a full execution (its span tree is
 	// pinned byte-identical across worker counts by the differential
 	// suite, and a memo hit has no invocation spans to offer).
-	if s.memo != nil && !j.req.Options.Verify && j.req.Options.Trace == "" {
+	if !j.req.Options.Verify && j.req.Options.Trace == "" {
 		mgr.Memo = s.memo
 	}
 	var vcert *verify.Certifier
@@ -459,6 +440,14 @@ func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 	s.met.mergePassStats(stats)
 	s.results.put(j.key, resp)
 	finish(jobResult{resp: resp, status: 200})
+}
+
+// post delivers j's result. The job leaves the in-flight count first,
+// so a client already holding its answer never sees its own request
+// still counted in maod_inflight.
+func (s *Server) post(j *job, res jobResult) {
+	s.inflight.Add(-1)
+	j.done <- res
 }
 
 // verifyVerdicts projects the certifier's per-invocation results onto
