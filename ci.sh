@@ -5,10 +5,15 @@
 #   go vet      static analysis
 #   go build    everything compiles
 #   go test     full test suite under the race detector
+#   maoledger   the benchmark module's own tests (maoledger/ is a
+#               module of its own, so the root go test skips it): a
+#               change that breaks the benchmark's API or metric
+#               contract fails here, not in the benchmark run
 #   race-stress the concurrency-bearing packages (the parallel pass
 #               manager with its per-worker relax.State pool, the
 #               shared encode cache, the incremental relaxation
-#               differential suite at 8 workers, the maod service, and
+#               differential suite at 8 workers, the pipeline memo
+#               every worker of a shard shares, the maod service, and
 #               the flight group that maod and maorouter share to
 #               coalesce identical misses) repeated under the race
 #               detector to shake out scheduling-dependent races
@@ -95,8 +100,11 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + service + flight group"
-go test -race -count=3 ./internal/pass/ ./internal/relax/ ./internal/serve/ ./internal/router/ ./internal/flight/
+echo "== maoledger: the benchmark's API and metric contract"
+(cd maoledger && GOFLAGS=-mod=mod go test ./...)
+
+echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + memo + service + flight group"
+go test -race -count=3 ./internal/pass/ ./internal/relax/ ./internal/memo/ ./internal/serve/ ./internal/router/ ./internal/flight/
 # The differential suite drives the pooled per-worker relax.States at 8
 # workers with tracing on; repeat it specifically under the detector.
 go test -race -count=2 -run 'TestDifferentialAfterPasses' ./internal/relax/

@@ -136,6 +136,33 @@ func TestInsertAfterBack(t *testing.T) {
 	}
 }
 
+// TestListOwns: a list owns exactly the nodes it indexed, linked or
+// since removed; a fresh node, a clone or another list's node is not
+// its own.
+func TestListOwns(t *testing.T) {
+	var l, other List
+	a := l.Append(LabelNode("a"))
+	b := l.Append(LabelNode("b"))
+	x := other.Append(LabelNode("x"))
+	if !l.Owns(a) || !l.Owns(b) {
+		t.Error("list does not own its linked nodes")
+	}
+	l.Remove(b)
+	if !l.Owns(b) {
+		t.Error("list does not own a node it removed")
+	}
+	if l.Owns(x) || other.Owns(a) {
+		t.Error("list owns another list's node")
+	}
+	if l.Owns(LabelNode("fresh")) || l.Owns(a.Clone()) {
+		t.Error("list owns a node it never indexed")
+	}
+	var empty List
+	if empty.Owns(LabelNode("fresh")) {
+		t.Error("empty list owns a fresh node")
+	}
+}
+
 func TestNextPrevInst(t *testing.T) {
 	u := buildUnit(t)
 	f := u.Functions()[0]

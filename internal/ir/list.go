@@ -25,6 +25,12 @@ type List struct {
 	// linked node gets index 1. Indices are never reclaimed.
 	nextID int
 
+	// token identifies this list to the nodes it indexed (Node.home).
+	// It is a separate object rather than the list itself, so a node
+	// removed from the list does not keep the list — and through it
+	// the whole unit — reachable.
+	token *listToken
+
 	// version counts mutations relevant to layout: every structural op
 	// bumps it, and in-place content edits report through BumpVersion.
 	// Incremental relaxation snapshots it to detect edits it was not
@@ -32,13 +38,27 @@ type List struct {
 	version atomic.Int64
 }
 
+// listToken is a list's identity (see List.token). It has a field so
+// that distinct tokens are distinct allocations.
+type listToken struct{ _ byte }
+
 // assignID gives n its dense index on first link. Caller holds l.mu.
 func (l *List) assignID(n *Node) {
 	if n.id == 0 {
+		if l.token == nil {
+			l.token = new(listToken)
+		}
 		l.nextID++
 		n.id = l.nextID
+		n.home = l.token
 	}
 }
+
+// Owns reports whether l assigned n's index: n is linked into l, or
+// was until removed. An index is only meaningful to the list that
+// assigned it; read against any other list it names an unrelated
+// node.
+func (l *List) Owns(n *Node) bool { return n.home != nil && n.home == l.token }
 
 // IndexBound returns an exclusive upper bound on every node index this
 // list has assigned (Node.Index values are in [1, IndexBound)).

@@ -11,6 +11,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mao/internal/x86"
@@ -36,7 +37,10 @@ type Node struct {
 	// List the first time the node is linked (see List.assignID) and
 	// kept for the node's lifetime — a node removed and re-inserted
 	// into the same list keeps its index. 0 means "never linked".
-	id int
+	// home is the identity token of the list that assigned it (see
+	// List.Owns).
+	id   int
+	home *listToken
 
 	Kind  NodeKind
 	Inst  *x86.Inst  // NodeInst
@@ -105,10 +109,22 @@ type Directive struct {
 
 // String renders the directive as it appears in an assembly file.
 func (d *Directive) String() string {
-	if len(d.Args) == 0 {
-		return d.Name
+	return string(d.AppendTo(make([]byte, 0, 64)))
+}
+
+// AppendTo appends the directive as it appears in an assembly file to
+// dst and returns the extended buffer. It allocates only to grow dst.
+func (d *Directive) AppendTo(dst []byte) []byte {
+	dst = append(dst, d.Name...)
+	for i, a := range d.Args {
+		if i == 0 {
+			dst = append(dst, '\t')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, a...)
 	}
-	return d.Name + "\t" + strings.Join(d.Args, ",")
+	return dst
 }
 
 // InstNode returns a fresh instruction node.
@@ -185,15 +201,23 @@ func (n *Node) PrevInst() *Node {
 
 // String renders the node as one line of assembly (without newline).
 func (n *Node) String() string {
+	return string(n.AppendTo(make([]byte, 0, 96)))
+}
+
+// AppendTo appends the node as one line of assembly (without newline)
+// to dst and returns the extended buffer. It is the IR's one printer:
+// String, Unit.WriteTo and the memo's fingerprints all render through
+// it. It allocates only to grow dst.
+func (n *Node) AppendTo(dst []byte) []byte {
 	switch n.Kind {
 	case NodeInst:
-		return "\t" + n.Inst.String()
+		return n.Inst.AppendTo(append(dst, '\t'))
 	case NodeLabel:
-		return n.Label + ":"
+		return append(append(dst, n.Label...), ':')
 	case NodeDirective:
-		return "\t" + n.Dir.String()
+		return n.Dir.AppendTo(append(dst, '\t'))
 	}
-	return fmt.Sprintf("<bad node kind %d>", n.Kind)
+	return append(strconv.AppendUint(append(dst, "<bad node kind "...), uint64(n.Kind), 10), '>')
 }
 
 // IsAlignDirective reports whether the node is an alignment directive

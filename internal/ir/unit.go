@@ -216,16 +216,15 @@ func (u *Unit) Function(name string) *Function {
 func (u *Unit) Sections() []string { return u.sections }
 
 // WriteTo emits the unit as textual assembly. It implements
-// io.WriterTo so that emission composes with any output sink.
+// io.WriterTo so that emission composes with any output sink. Every
+// line is rendered into one reused buffer and written with its newline
+// in a single Write.
 func (u *Unit) WriteTo(w io.Writer) (int64, error) {
 	var total int64
+	line := make([]byte, 0, 128)
 	for n := u.List.Front(); n != nil; n = n.Next() {
-		k, err := io.WriteString(w, n.String())
-		total += int64(k)
-		if err != nil {
-			return total, err
-		}
-		k, err = io.WriteString(w, "\n")
+		line = append(n.AppendTo(line[:0]), '\n')
+		k, err := w.Write(line)
 		total += int64(k)
 		if err != nil {
 			return total, err

@@ -1,0 +1,169 @@
+package memo_test
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+
+	"mao/internal/check"
+	"mao/internal/ir"
+	"mao/internal/memo"
+	"mao/internal/trace"
+)
+
+// srcLines is one function whose testl REDTEST removes, followed by an
+// addl that reads %ebx before any write: the checker warns reg-uninit
+// at line 8.
+const srcLines = `	.text
+	.globl f
+	.type f,@function
+f:
+	movl %edi, %eax
+	subl $16, %eax
+	testl %eax, %eax
+	addl %ebx, %eax
+	ret
+	.size f, .-f
+`
+
+// twoComments shifts every line of srcLines down by two without
+// changing the assembly.
+const twoComments = "# one\n# two\n"
+
+// uninitLine returns the line of the unit's reg-uninit diagnostic.
+func uninitLine(t *testing.T, u *ir.Unit) int {
+	t.Helper()
+	for _, d := range check.CheckUnit(u) {
+		if d.Rule == "reg-uninit" {
+			return d.Line
+		}
+	}
+	t.Fatalf("no reg-uninit diagnostic for:\n%s", u)
+	return 0
+}
+
+// addlSourceLine returns the explain lineage's source line of the addl.
+func addlSourceLine(t *testing.T, u *ir.Unit) int {
+	t.Helper()
+	for _, l := range trace.Lineage(u) {
+		if l.Text == "\taddl\t%ebx, %eax" {
+			return l.SourceLine
+		}
+	}
+	t.Fatalf("no addl in:\n%s", u)
+	return 0
+}
+
+// TestMemoHitReportsOwnSourceLines: a memo hit must report the lines
+// of the request in hand, not those of the request that filled the
+// entry. The two units differ only in two leading comment lines, so
+// they share the entry, and the hit rebases its lines onto the unit.
+func TestMemoHitReportsOwnSourceLines(t *testing.T) {
+	m := memo.New(0, "v1")
+	fill := parse(t, srcLines)
+	if _, err := newManager(t, "REDTEST", m).Run(fill); err != nil {
+		t.Fatal(err)
+	}
+	if got := uninitLine(t, fill); got != 8 {
+		t.Fatalf("fill run: reg-uninit at line %d, want 8", got)
+	}
+
+	cold := parse(t, twoComments+srcLines)
+	if _, err := newManager(t, "REDTEST", nil).Run(cold); err != nil {
+		t.Fatal(err)
+	}
+	hit := parse(t, twoComments+srcLines)
+	stats, err := newManager(t, "REDTEST", m).Run(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Get("MEMO", "spliced") != 1 {
+		t.Fatalf("second unit did not splice from the memo, stats:\n%s", stats)
+	}
+	if hit.String() != cold.String() {
+		t.Fatalf("memo-hit run differs from cold run:\n%s\nvs\n%s", hit, cold)
+	}
+	if got, want := uninitLine(t, hit), uninitLine(t, cold); got != want || want != 10 {
+		t.Errorf("reg-uninit at line %d after a memo hit, %d after a cold run, want 10", got, want)
+	}
+	if got, want := addlSourceLine(t, hit), addlSourceLine(t, cold); got != want || want != 10 {
+		t.Errorf("explain source_line %d after a memo hit, %d after a cold run, want 10", got, want)
+	}
+}
+
+// TestMemoKeyFoldsRelativeLines: a span whose lines are laid out
+// differently inside the function (a comment between two of its
+// instructions) has a different key, so it never shares an entry
+// whose rebased lines would be wrong for it.
+func TestMemoKeyFoldsRelativeLines(t *testing.T) {
+	m := memo.New(0, "v1")
+	if _, err := newManager(t, "REDTEST", m).Run(parse(t, srcLines)); err != nil {
+		t.Fatal(err)
+	}
+	inner := "\t.text\n\t.globl f\n\t.type f,@function\nf:\n\tmovl %edi, %eax\n# inner\n" +
+		"\tsubl $16, %eax\n\ttestl %eax, %eax\n\taddl %ebx, %eax\n\tret\n\t.size f, .-f\n"
+	u := parse(t, inner)
+	stats, err := newManager(t, "REDTEST", m).Run(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Get("MEMO", "functions") != 0 {
+		t.Fatalf("differently laid-out span hit the memo, stats:\n%s", stats)
+	}
+	if got := uninitLine(t, u); got != 9 {
+		t.Errorf("reg-uninit at line %d, want 9", got)
+	}
+}
+
+// fillFromWatchedSource fills m from a freshly allocated copy of
+// srcLines and closes collected once that copy's bytes are
+// garbage-collected.
+func fillFromWatchedSource(t *testing.T, m *memo.Memo, collected chan struct{}) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(srcLines)
+	src := b.String()
+	runtime.SetFinalizer(unsafe.StringData(src), func(*byte) { close(collected) })
+	u := parse(t, src)
+	if _, err := newManager(t, "REDTEST", m).Run(u); err != nil {
+		t.Fatal(err)
+	}
+	if mm := m.Metrics(); mm.Stores != 1 {
+		t.Fatalf("fill stored %d entries, want 1", mm.Stores)
+	}
+}
+
+// TestMemoEntriesOwnTheirStrings: a stored entry keeps nothing of the
+// filling request's source text alive — its labels, symbols and
+// directive text are the entry's own.
+func TestMemoEntriesOwnTheirStrings(t *testing.T) {
+	m := memo.New(0, "v1")
+	collected := make(chan struct{})
+	fillFromWatchedSource(t, m, collected)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			// The entry still answers, byte-identically.
+			u := parse(t, srcLines)
+			if stats, err := newManager(t, "REDTEST", m).Run(u); err != nil || stats.Get("MEMO", "spliced") != 1 {
+				t.Fatalf("entry did not splice after its source was collected: %v\n%s", err, stats)
+			}
+			cold := parse(t, srcLines)
+			if _, err := newManager(t, "REDTEST", nil).Run(cold); err != nil {
+				t.Fatal(err)
+			}
+			if u.String() != cold.String() {
+				t.Fatalf("splice differs from cold run:\n%s\nvs\n%s", u, cold)
+			}
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the filling request's source is still reachable through the memo")
+		}
+	}
+}

@@ -15,7 +15,8 @@
 // following the internal/cachekey conventions:
 //
 //   - the canonical IR bytes of the function span (every node's
-//     rendered line, length-prefixed) and its section name;
+//     rendered line, length-prefixed, and its source line relative to
+//     the function's entry label) and its section name;
 //   - the canonical pipeline spec;
 //   - the configuration salt: pass-catalog version, static-check
 //     version, translation-validation version and the memo format
@@ -36,6 +37,22 @@
 // version composes a different key, so stale entries are simply never
 // found again and age out of the LRU.
 //
+// # Source lines
+//
+// Entries store each source-derived node's line relative to its
+// function's entry label (synthesized nodes keep line 0), and Splice
+// rebases them onto the unit in hand, so diagnostics and explain
+// lineage after a hit name the request's own lines. Folding the
+// relative lines into the span fingerprint keeps entries shared only
+// between identically laid-out spans, where rebasing is exact.
+//
+// # Ownership
+//
+// Entries own their strings: Fill copies every string of the stored
+// nodes (labels, symbols, directive text, sections) into one string
+// per entry, so an entry never keeps the filling request's source
+// text alive. Splices share the entry's copies.
+//
 // # Fill-time self-validation
 //
 // The memo never assumes a pipeline was span-confined: Fill re-walks
@@ -52,6 +69,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -61,7 +79,7 @@ import (
 
 // formatVersion is baked into every key; bump it when the entry
 // layout or fingerprint composition changes incompatibly.
-const formatVersion = "maomemo/1"
+const formatVersion = "maomemo/2"
 
 // Memo is a bounded, content-addressed store of per-function pipeline
 // results. It is safe for concurrent use; stored spans are immutable
@@ -76,7 +94,8 @@ type Memo struct {
 
 // entry is one memoized function result. nodes is nil when the
 // pipeline left the span byte-identical (the common fixpoint case):
-// splicing such an entry is a no-op.
+// splicing such an entry is a no-op. Their lines are relative (see
+// relLine) and their strings owned by the entry (see ownStrings).
 type entry struct {
 	nodes     []*ir.Node
 	identical bool
@@ -92,10 +111,10 @@ func New(maxEntries int, versions ...string) *Memo {
 		maxEntries = 65536
 	}
 	h := sha256.New()
-	writeField(h, formatVersion)
+	buf := writeField(h, nil, formatVersion)
 	fmt.Fprintf(h, "nver:%d:", len(versions))
 	for _, v := range versions {
-		writeField(h, v)
+		buf = writeField(h, buf, v)
 	}
 	return &Memo{
 		entries: lru.New[string, entry](maxEntries),
@@ -103,14 +122,43 @@ func New(maxEntries int, versions ...string) *Memo {
 	}
 }
 
-// writeField writes one length-delimited field into h, so adjacent
-// fields can never alias across boundaries (the internal/cachekey
-// convention).
-func writeField(h hash.Hash, s string) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	h.Write(n[:])
-	h.Write([]byte(s))
+// writeField writes one length-delimited field into h — an 8-byte
+// little-endian length, then the bytes — so adjacent fields can never
+// alias across boundaries (the internal/cachekey convention). buf is
+// scratch space, returned for reuse: h gets the field in one Write,
+// with no allocation once buf has room.
+func writeField(h hash.Hash, buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(s)))
+	buf = append(buf, s...)
+	h.Write(buf)
+	return buf
+}
+
+// nodeField renders n into buf (reused) as the field writeField would
+// write for its line of assembly, followed by 8 bytes of rel, the
+// node's span-relative source line. text is the line's field alone;
+// full adds the relative line. Rendering allocates nothing once buf
+// has room.
+func nodeField(buf []byte, n *ir.Node, rel int) (text, full []byte) {
+	buf = n.AppendTo(append(buf[:0], 0, 0, 0, 0, 0, 0, 0, 0))
+	binary.LittleEndian.PutUint64(buf, uint64(len(buf)-8))
+	k := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(rel))
+	return buf[:k], buf
+}
+
+// relLine maps a node's source line to its line relative to the entry
+// label of its function, which sits at line base: 1 for the label's
+// own line, 0 for a synthesized node (line 0). ok is false for a
+// source line above the label, which has no relative form.
+func relLine(line, base int) (rel int, ok bool) {
+	if line == 0 {
+		return 0, true
+	}
+	if line < base {
+		return 0, false
+	}
+	return line - base + 1, true
 }
 
 // Metrics is a snapshot of the memo's counters.
@@ -187,28 +235,34 @@ func (m *Memo) NewPlan(u *ir.Unit, spec string, local bool) *Plan {
 	}
 	p := &Plan{memo: m, fns: fns, spanFPs: spanFPs, interFP: interFP}
 	p.keys = make([]string, len(fns))
+	var buf []byte
 	for i, f := range fns {
 		h := sha256.New()
-		writeField(h, m.salt)
-		writeField(h, spec)
+		buf = writeField(h, buf, m.salt)
+		buf = writeField(h, buf, spec)
 		if local {
-			writeField(h, "local")
-			writeField(h, f.SectionName)
-			writeField(h, spanFPs[i])
+			buf = writeField(h, buf, "local")
+			buf = writeField(h, buf, f.SectionName)
 		} else {
-			writeField(h, "unit")
-			writeField(h, unitFP)
-			writeField(h, f.Name)
+			buf = writeField(h, buf, "unit")
+			buf = writeField(h, buf, unitFP)
+			buf = writeField(h, buf, f.Name)
 		}
+		// Both modes key on the span fingerprint: its relative source
+		// lines, which the unit fingerprint does not carry, keep
+		// entries shared only between identically laid-out spans.
+		buf = writeField(h, buf, spanFPs[i])
 		p.keys[i] = hex.EncodeToString(h.Sum(nil))
 	}
 	return p
 }
 
 // contentFingerprints walks the unit once, hashing every function
-// span, the interstitial content, and (when wantUnit) the whole unit.
-// ok is false when the function spans do not partition the list into
-// the expected well-nested shape (overlapping or dangling spans).
+// span (lines of assembly and relative source lines), the interstitial
+// content, and (when wantUnit) the whole unit (lines of assembly). ok
+// is false when the function spans do not partition the list into the
+// expected well-nested shape (overlapping or dangling spans), or when
+// a span holds a source line above its entry label.
 func contentFingerprints(u *ir.Unit, fns []*ir.Function, wantUnit bool) (spanFPs []string, interFP, unitFP string, ok bool) {
 	spanFPs = make([]string, len(fns))
 	inter := sha256.New()
@@ -217,20 +271,30 @@ func contentFingerprints(u *ir.Unit, fns []*ir.Function, wantUnit bool) (spanFPs
 		unit = sha256.New()
 	}
 	var span hash.Hash
+	var buf []byte
+	base := 0
 	fi := 0
 	for n := u.List.Front(); n != nil; n = n.Next() {
 		if span == nil && fi < len(fns) && n == fns[fi].EntryLabel() {
 			span = sha256.New()
-			writeField(span, fns[fi].SectionName)
+			buf = writeField(span, buf, fns[fi].SectionName)
+			base = n.Line
 		}
-		line := n.String()
+		var text, full []byte
 		if span != nil {
-			writeField(span, line)
+			rel, ok := relLine(n.Line, base)
+			if !ok {
+				return nil, "", "", false
+			}
+			text, full = nodeField(buf, n, rel)
+			span.Write(full)
 		} else {
-			writeField(inter, line)
+			text, full = nodeField(buf, n, 0)
+			inter.Write(text)
 		}
+		buf = full
 		if unit != nil {
-			writeField(unit, line)
+			unit.Write(text)
 		}
 		if span != nil && n == fns[fi].End() {
 			spanFPs[fi] = hex.EncodeToString(span.Sum(nil))
@@ -282,9 +346,11 @@ func (m *Memo) Lookup(p *Plan) (*Hit, bool) {
 
 // Splice replaces every changed function span of u with clones of the
 // memoized optimized nodes and re-analyzes the unit. u must be the
-// unit the plan was computed from, unedited since. It returns the
-// number of spans spliced; zero means the unit was already at the
-// pipeline's fixpoint and was not touched at all.
+// unit the plan was computed from, unedited since. The clones' source
+// lines are rebased onto u's entry label, as a cold run of u would
+// report them. It returns the number of spans spliced; zero means the
+// unit was already at the pipeline's fixpoint and was not touched at
+// all.
 func (h *Hit) Splice(u *ir.Unit) (int, error) {
 	for i, nodes := range h.nodes {
 		if nodes == nil {
@@ -292,8 +358,13 @@ func (h *Hit) Splice(u *ir.Unit) (int, error) {
 		}
 		f := h.plan.fns[i]
 		start, end := f.EntryLabel(), f.End()
+		base := start.Line
 		for _, n := range nodes {
-			u.List.InsertBefore(n.Clone(), start)
+			c := n.Clone()
+			if c.Line != 0 {
+				c.Line += base - 1
+			}
+			u.List.InsertBefore(c, start)
 		}
 		for n := start; n != nil; {
 			next := n.Next()
@@ -321,7 +392,8 @@ func (h *Hit) Spliced() int { return h.spliced }
 // survived the run and that the interstitial content is untouched; on
 // any drift nothing is stored and Fill reports false. Spans that the
 // run left byte-identical are stored without nodes — splicing them is
-// free.
+// free. Stored nodes are clones with relative lines and entry-owned
+// strings.
 func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 	if p == nil {
 		return false
@@ -330,29 +402,43 @@ func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 	inter := sha256.New()
 	var span hash.Hash
 	var spanNodes []*ir.Node
-	type result struct {
-		fp    string
-		nodes []*ir.Node
-	}
-	results := make([]result, 0, len(fns))
+	var buf []byte
+	base := 0
+	entries := make([]entry, 0, len(fns))
 	fi := 0
 	for n := u.List.Front(); n != nil; n = n.Next() {
 		if span == nil && fi < len(fns) && n == fns[fi].EntryLabel() {
 			span = sha256.New()
-			writeField(span, fns[fi].SectionName)
+			buf = writeField(span, buf, fns[fi].SectionName)
 			spanNodes = spanNodes[:0]
+			base = n.Line
 		}
 		if span != nil {
-			writeField(span, n.String())
+			rel, ok := relLine(n.Line, base)
+			if !ok {
+				m.unmemoizable.Add(1)
+				return false
+			}
+			_, buf = nodeField(buf, n, rel)
+			span.Write(buf)
 			spanNodes = append(spanNodes, n)
 		} else {
-			writeField(inter, n.String())
+			var text []byte
+			text, buf = nodeField(buf, n, 0)
+			inter.Write(text)
 		}
 		if span != nil && n == fns[fi].End() {
-			results = append(results, result{
-				fp:    hex.EncodeToString(span.Sum(nil)),
-				nodes: append([]*ir.Node(nil), spanNodes...),
-			})
+			e := entry{identical: hex.EncodeToString(span.Sum(nil)) == p.spanFPs[fi]}
+			if !e.identical {
+				e.nodes = make([]*ir.Node, len(spanNodes))
+				for j, n := range spanNodes {
+					c := n.Clone()
+					c.Line, _ = relLine(n.Line, base)
+					e.nodes[j] = c
+				}
+				ownStrings(e.nodes)
+			}
+			entries = append(entries, e)
 			span = nil
 			fi++
 		}
@@ -362,14 +448,7 @@ func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 		m.unmemoizable.Add(1)
 		return false
 	}
-	for i, r := range results {
-		e := entry{identical: r.fp == p.spanFPs[i]}
-		if !e.identical {
-			e.nodes = make([]*ir.Node, len(r.nodes))
-			for j, n := range r.nodes {
-				e.nodes[j] = n.Clone()
-			}
-		}
+	for i, e := range entries {
 		m.mu.Lock()
 		evicted := m.entries.Add(p.keys[i], e)
 		m.mu.Unlock()
@@ -377,4 +456,47 @@ func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 		m.evictions.Add(uint64(evicted))
 	}
 	return true
+}
+
+// ownStrings re-points every string of the (cloned, unshared) nodes
+// at one freshly allocated string holding them all, so the nodes keep
+// no other string — in particular no request's source text — alive.
+func ownStrings(nodes []*ir.Node) {
+	size := 0
+	for _, n := range nodes {
+		eachString(n, func(s *string) { size += len(*s) })
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, n := range nodes {
+		eachString(n, func(s *string) { b.WriteString(*s) })
+	}
+	all, off := b.String(), 0
+	for _, n := range nodes {
+		eachString(n, func(s *string) {
+			if k := len(*s); k > 0 {
+				*s = all[off : off+k]
+				off += k
+			}
+		})
+	}
+}
+
+// eachString calls f with every string field of n that may share
+// storage with the text n was parsed from.
+func eachString(n *ir.Node, f func(*string)) {
+	f(&n.Label)
+	f(&n.Section)
+	if n.Dir != nil {
+		f(&n.Dir.Name)
+		for i := range n.Dir.Args {
+			f(&n.Dir.Args[i])
+		}
+	}
+	if n.Inst != nil {
+		for i := range n.Inst.Args {
+			f(&n.Inst.Args[i].Sym)
+			f(&n.Inst.Args[i].Mem.Sym)
+		}
+	}
 }

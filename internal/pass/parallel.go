@@ -141,9 +141,11 @@ func (m *Manager) runFuncPass(runCtx context.Context, u *ir.Unit, p FuncPass, ct
 			defer wg.Done()
 			// Each worker owns one relaxation state for its lifetime (a
 			// State is single-goroutine); the pool carries partitions
-			// across invocations and runs.
+			// across invocations of a run, and a state pooled by an
+			// earlier run drops that run's unit here.
 			wRelax := m.acquireRelax()
 			defer m.releaseRelax(wRelax)
+			wRelax.Hold(u)
 			for {
 				if runCtx.Err() != nil {
 					return

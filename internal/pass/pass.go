@@ -507,11 +507,12 @@ type Manager struct {
 
 	// RelaxState, when non-nil, carries fragment-based relaxation
 	// state across this manager's runs: successive pipelines over the
-	// same unit rescan only what changed. It backs the serial contexts
-	// of a run (unit passes, non-parallel function passes); parallel
-	// workers draw their own states from an internal pool instead,
-	// since a State is single-goroutine. A manager with RelaxState set
-	// must not run pipelines concurrently.
+	// same unit rescan only what changed, and a run over another unit
+	// makes the state drop the old one (relax.State.Hold). It backs
+	// the serial contexts of a run (unit passes, non-parallel function
+	// passes); parallel workers draw their own states from an internal
+	// pool instead, since a State is single-goroutine. A manager with
+	// RelaxState set must not run pipelines concurrently.
 	RelaxState *relax.State
 
 	// relaxPool recycles per-worker (and, when RelaxState is unset,
@@ -606,12 +607,16 @@ func (m *Manager) RunContext(runCtx context.Context, u *ir.Unit) (*Stats, error)
 
 	// The relaxation state serial contexts of this run share: the
 	// manager's configured one, or a pooled state so repeated runs
-	// through the same manager still relax incrementally.
+	// through the same manager still relax incrementally. It is handed
+	// the run's unit before the first pass: a state still holding an
+	// earlier run's unit drops it here, and edits of this unit are
+	// never matched against that unit's partition.
 	relaxState := m.RelaxState
 	if relaxState == nil {
 		relaxState = m.acquireRelax()
 		defer m.releaseRelax(relaxState)
 	}
+	relaxState.Hold(u)
 
 	// The trace writer every context of this run shares: nil when
 	// tracing is off, otherwise a serializing wrapper so concurrent

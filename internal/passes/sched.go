@@ -82,7 +82,6 @@ func schedPorts(in *x86.Inst) []int {
 type depNode struct {
 	node    *ir.Node
 	index   int // original position
-	preds   map[int]bool
 	succs   []int
 	height  int // critical-path length to block end
 	latency int
@@ -119,14 +118,16 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 
 	// Refuse blocks containing barriers or unknown-effect
 	// instructions — not worth the risk for a micro-architectural
-	// pass.
-	nodes := make([]*depNode, n)
+	// pass. Each instruction's def-use sets are computed once here;
+	// the dependence analysis below reads them per pair.
+	du := make([]dataflow.DefUse, n)
+	nodes := make([]depNode, n)
 	for i, x := range body {
-		d := dataflow.InstDefUse(x.Inst)
-		if d.Barrier {
+		du[i] = dataflow.InstDefUse(x.Inst)
+		if du[i].Barrier {
 			return false
 		}
-		nodes[i] = &depNode{node: x, index: i, preds: make(map[int]bool), latency: schedLatency(x.Inst)}
+		nodes[i] = depNode{node: x, index: i, latency: schedLatency(x.Inst)}
 	}
 
 	// Flag defs are overwhelmingly dead on x86 (every ALU op writes
@@ -144,7 +145,7 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 	liveFlagDef := make([]bool, n)
 	pendingReader := flagsLiveAfterBody != 0
 	for i := n - 1; i >= 0; i-- {
-		d := dataflow.InstDefUse(body[i].Inst)
+		d := &du[i]
 		liveFlagDef[i] = d.FlagDefs != 0 && pendingReader
 		if d.FlagUses != 0 {
 			pendingReader = true
@@ -155,11 +156,13 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 
 	// Dependence edges. Memory: loads may reorder among themselves;
 	// any store serializes against all other memory operations
-	// (syntactic model, no alias analysis).
+	// (syntactic model, no alias analysis). Each pair (i, j) is
+	// visited once, so counting predecessors needs no deduplication.
+	indeg := make([]int, n)
 	for i := 0; i < n; i++ {
-		di := dataflow.InstDefUse(body[i].Inst)
+		di := &du[i]
 		for j := i + 1; j < n; j++ {
-			dj := dataflow.InstDefUse(body[j].Inst)
+			dj := &du[j]
 			raw := di.Defs&dj.Uses != 0 || di.FlagDefs&dj.FlagUses != 0
 			war := di.Uses&dj.Defs != 0 || di.FlagUses&dj.FlagDefs != 0
 			waw := di.Defs&dj.Defs != 0 ||
@@ -167,10 +170,8 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 			mem := (di.MemDef && (dj.MemUse || dj.MemDef)) ||
 				(di.MemUse && dj.MemDef)
 			if raw || war || waw || mem {
-				if !nodes[j].preds[i] {
-					nodes[j].preds[i] = true
-					nodes[i].succs = append(nodes[i].succs, j)
-				}
+				indeg[j]++
+				nodes[i].succs = append(nodes[i].succs, j)
 			}
 		}
 	}
@@ -187,10 +188,6 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 	}
 
 	// List scheduling.
-	indeg := make([]int, n)
-	for i := range nodes {
-		indeg[i] = len(nodes[i].preds)
-	}
 	var ready []int
 	for i, d := range indeg {
 		if d == 0 {
@@ -204,7 +201,7 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 
 	for len(ready) > 0 {
 		sort.Slice(ready, func(a, c int) bool {
-			x, y := nodes[ready[a]], nodes[ready[c]]
+			x, y := &nodes[ready[a]], &nodes[ready[c]]
 			switch costFn {
 			case "naive":
 				return x.index < y.index

@@ -112,6 +112,13 @@ func (m Metrics) ReuseRate() float64 {
 // unit plus node-indexed address/length/byte tables. A zero-cost way
 // to use it is through Options.State; passes get one on pass.Ctx.
 //
+// A State holds one unit at a time. Hold (or Relax of another unit)
+// moves it to a new unit and drops everything it kept for the old one,
+// so a long-lived state — one per service worker — never keeps a
+// finished unit, or through its label and section names that unit's
+// source text, reachable. Notifications about nodes of a unit the
+// state does not hold return at once.
+//
 // Reuse protocol: a State tracks the unit's ir.List.Version. Callers
 // that edit the unit through the pass.Ctx mutation helpers notify the
 // state precisely (NodeInserted/NodeRemoved/NodeMutated), and the next
@@ -120,7 +127,7 @@ func (m Metrics) ReuseRate() float64 {
 // edits reported via ir.List.BumpVersion — leaves the notification
 // count behind the version counter, and the next Relax falls back to a
 // sound full rebuild. Layouts returned by Relax are views into the
-// state and are invalidated by the next Relax call.
+// state and are invalidated by the next Relax or Hold call.
 //
 // A State is single-goroutine: share nothing, or give each worker its
 // own (pass.Manager does).
@@ -135,7 +142,7 @@ type State struct {
 	lenv   []int   // node index → encoded length
 	byt    [][]byte
 
-	labelIdx   map[string]int // name → index (never removed)
+	labelIdx   map[string]int // name → index, reset by every full rebuild
 	labelNames []string
 	labelCur   []int64 // address this round
 	labelPrev  []int64 // address previous round
@@ -183,6 +190,40 @@ func NewState() *State {
 // Metrics returns lifetime counters for this state.
 func (s *State) Metrics() Metrics { return s.metrics }
 
+// Hold makes u the unit the state serves. If the state held another
+// unit, everything it kept for that unit is dropped first: fragments,
+// node-indexed tables, label tables, section cursors. The next Relax
+// of u is then a full build, and until it runs, notifications about
+// u's nodes return at once. Holding the unit already held is free.
+func (s *State) Hold(u *ir.Unit) {
+	if s.u == u {
+		return
+	}
+	for _, f := range s.frags {
+		s.release(f)
+	}
+	s.frags = s.frags[:0]
+	s.newly = s.newly[:0]
+	clear(s.fragOf)
+	clear(s.byt)
+	s.fragOf, s.off, s.lenv, s.byt = s.fragOf[:0], s.off[:0], s.lenv[:0], s.byt[:0]
+	s.resetLabels()
+	clear(s.cursor)
+	clear(s.layout.SectionEnd)
+	s.u = u
+	s.valid = false
+	s.needRebuild = false
+	s.anyDirty = false
+	s.accounted = 0
+}
+
+// holds reports whether n belongs to the unit the state has a valid
+// partition of. Node indices are per list, so a node of any other
+// unit must not be looked up in the node-indexed tables.
+func (s *State) holds(n *ir.Node) bool {
+	return s != nil && s.valid && s.u.List.Owns(n)
+}
+
 // fragAt returns the fragment owning n, or nil when the layout does
 // not cover n (unlinked, foreign or never-scanned nodes).
 func (s *State) fragAt(n *ir.Node) *frag {
@@ -220,7 +261,7 @@ func (s *State) resolveOr(sym string) int64 {
 // Relax. Precise notification is an optimization, never a soundness
 // requirement — unnotified edits are caught by version accounting.
 func (s *State) NodeInserted(n *ir.Node) {
-	if s == nil || !s.valid {
+	if !s.holds(n) {
 		return
 	}
 	s.accounted++
@@ -241,7 +282,7 @@ func (s *State) NodeInserted(n *ir.Node) {
 
 // NodeRemoved notifies the state that n was just unlinked.
 func (s *State) NodeRemoved(n *ir.Node) {
-	if s == nil || !s.valid {
+	if !s.holds(n) {
 		return
 	}
 	s.accounted++
@@ -256,7 +297,7 @@ func (s *State) NodeRemoved(n *ir.Node) {
 // NodeMutated notifies the state that n's content changed in place
 // (after ir.List.BumpVersion); its fragment is rescanned.
 func (s *State) NodeMutated(n *ir.Node) {
-	if s == nil || !s.valid {
+	if !s.holds(n) {
 		return
 	}
 	s.accounted++
@@ -293,13 +334,14 @@ func (s *State) Relax(u *ir.Unit, opts *Options) (*Layout, error) {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 100
 	}
+	s.Hold(u)
 	s.cache = o.Cache
 
 	version := u.List.Version()
 	switch {
-	case !s.valid || s.u != u || s.needRebuild || s.base != o.Base ||
+	case !s.valid || s.needRebuild || s.base != o.Base ||
 		version != s.baseVersion+s.accounted:
-		if err := s.rebuild(u, o.Base); err != nil {
+		if err := s.rebuild(o.Base); err != nil {
 			s.valid = false
 			return nil, err
 		}
@@ -352,11 +394,13 @@ func (s *State) Relax(u *ir.Unit, opts *Options) (*Layout, error) {
 	return &s.layout, nil
 }
 
-// rebuild partitions the whole unit from scratch (first call, new
+// rebuild partitions the held unit from scratch (first call, new
 // unit, changed base, or an edit the state was not notified about).
-func (s *State) rebuild(u *ir.Unit, base int64) error {
+// The label tables start over too, so they hold only labels of the
+// current partition and of rescans since.
+func (s *State) rebuild(base int64) error {
 	s.metrics.FullBuilds++
-	s.u = u
+	u := s.u
 	s.base = base
 	s.needRebuild = false
 	s.anyDirty = false
@@ -366,10 +410,7 @@ func (s *State) rebuild(u *ir.Unit, base int64) error {
 	}
 	s.frags = s.frags[:0]
 	s.newly = s.newly[:0]
-	for i := range s.labelOwner {
-		s.labelOwner[i] = nil
-	}
-	s.liveLabels = 0
+	s.resetLabels()
 	s.grow(u.List.IndexBound())
 	for i := range s.fragOf {
 		s.fragOf[i] = nil
@@ -706,6 +747,18 @@ func (s *State) emit() error {
 	return nil
 }
 
+// resetLabels empties the label tables, keeping their storage.
+func (s *State) resetLabels() {
+	clear(s.labelIdx)
+	clear(s.labelNames)
+	clear(s.labelOwner)
+	s.labelNames = s.labelNames[:0]
+	s.labelCur = s.labelCur[:0]
+	s.labelPrev = s.labelPrev[:0]
+	s.labelOwner = s.labelOwner[:0]
+	s.liveLabels = 0
+}
+
 // intern returns the dense index of a label name, growing the label
 // tables on first sight.
 func (s *State) intern(name string) int {
@@ -751,11 +804,17 @@ func (s *State) acquire() *frag {
 	return new(frag)
 }
 
+// release recycles f. Every node and string it referenced is cleared,
+// backing arrays included: a recycled fragment keeps nothing of the
+// unit it described reachable.
 func (s *State) release(f *frag) {
+	f.sect = ""
 	f.head, f.last, f.tail = nil, nil, nil
 	f.count = 0
 	f.fixed = 0
 	f.labels = f.labels[:0]
+	clear(f.pd)
+	clear(f.pdSyms)
 	f.pd = f.pd[:0]
 	f.pdSyms = f.pdSyms[:0]
 	f.pdAddr = f.pdAddr[:0]

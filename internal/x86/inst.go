@@ -1,9 +1,5 @@
 package x86
 
-import (
-	"strings"
-)
-
 // Inst is the single concrete instruction representation used
 // throughout MAO, mirroring the original system's one-C-struct-per-
 // instruction design. Operands are stored in AT&T order (sources
@@ -69,20 +65,26 @@ func (in *Inst) Mnemonic() string { return in.Mnem().Mnemonic() }
 // String renders the instruction in AT&T syntax, e.g.
 // "movl %edx, (%rsi,%r8,4)".
 func (in *Inst) String() string {
-	var b strings.Builder
+	return string(in.AppendTo(make([]byte, 0, 96)))
+}
+
+// AppendTo appends the instruction in AT&T syntax — prefix, mnemonic,
+// operands — to dst and returns the extended buffer. It allocates only
+// to grow dst.
+func (in *Inst) AppendTo(dst []byte) []byte {
 	if in.Lock {
-		b.WriteString("lock ")
+		dst = append(dst, "lock "...)
 	}
-	b.WriteString(in.Mnemonic())
-	for i, a := range in.Args {
+	dst = in.Mnem().appendTo(dst)
+	for i := range in.Args {
 		if i == 0 {
-			b.WriteByte('\t')
+			dst = append(dst, '\t')
 		} else {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(a.String())
+		dst = in.Args[i].AppendTo(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Clone returns a deep copy of the instruction.

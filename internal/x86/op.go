@@ -346,25 +346,31 @@ func ParseMnemonic(m string) (Mnem, bool) {
 // suffix normalization (the canonical form always carries an explicit
 // width suffix where the syntax allows one).
 func (m Mnem) Mnemonic() string {
+	return string(m.appendTo(make([]byte, 0, 16)))
+}
+
+// appendTo appends the canonical mnemonic to dst (see Mnemonic).
+func (m Mnem) appendTo(dst []byte) []byte {
 	switch m.Op {
 	case OpJCC:
-		return "j" + m.Cond.String()
+		return append(append(dst, 'j'), m.Cond.String()...)
 	case OpSET:
-		return "set" + m.Cond.String()
+		return append(append(dst, "set"...), m.Cond.String()...)
 	case OpCMOV:
-		return "cmov" + m.Cond.String()
+		return append(append(dst, "cmov"...), m.Cond.String()...)
 	case OpMOVZX:
-		return "movz" + widthSuffix(m.SrcWidth) + widthSuffix(m.Width)
+		return append(append(append(dst, "movz"...), widthSuffix(m.SrcWidth)...), widthSuffix(m.Width)...)
 	case OpMOVSX:
-		return "movs" + widthSuffix(m.SrcWidth) + widthSuffix(m.Width)
+		return append(append(append(dst, "movs"...), widthSuffix(m.SrcWidth)...), widthSuffix(m.Width)...)
 	case OpCVTSI2SS, OpCVTSI2SD, OpCVTTSS2SI, OpCVTTSD2SI:
-		return m.Op.String() + widthSuffix(m.Width)
+		return append(append(dst, m.Op.String()...), widthSuffix(m.Width)...)
 	case OpNOP:
 		// Multi-byte nops are spelled nopw/nopl like gas emits them.
-		return "nop" + widthSuffix(m.Width)
+		return append(append(dst, "nop"...), widthSuffix(m.Width)...)
 	}
+	dst = append(dst, m.Op.String()...)
 	if m.Op.HasWidthSuffix() && m.Width != W0 && m.Op != OpCMOV {
-		return m.Op.String() + widthSuffix(m.Width)
+		dst = append(dst, widthSuffix(m.Width)...)
 	}
-	return m.Op.String()
+	return dst
 }

@@ -1,10 +1,6 @@
 package x86
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // OperandKind discriminates the Operand union.
 type OperandKind uint8
@@ -66,53 +62,73 @@ func (o Operand) IsImm(v int64) bool { return o.Kind == KindImm && o.Imm == v }
 
 // String renders the operand in AT&T syntax.
 func (o Operand) String() string {
-	var s string
+	return string(o.AppendTo(make([]byte, 0, 64)))
+}
+
+// AppendTo appends the operand in AT&T syntax to dst and returns the
+// extended buffer. It allocates only to grow dst.
+func (o Operand) AppendTo(dst []byte) []byte {
 	switch o.Kind {
 	case KindNone:
-		return "<none>"
+		return append(dst, "<none>"...)
 	case KindImm:
-		return "$" + strconv.FormatInt(o.Imm, 10)
-	case KindReg:
-		s = o.Reg.ATT()
-	case KindMem:
-		s = o.Mem.String()
-	case KindLabel:
-		s = o.Sym
-		if o.Off != 0 {
-			s += fmt.Sprintf("%+d", o.Off)
-		}
+		return strconv.AppendInt(append(dst, '$'), o.Imm, 10)
 	}
 	if o.Star {
-		s = "*" + s
+		dst = append(dst, '*')
 	}
-	return s
+	switch o.Kind {
+	case KindReg:
+		dst = o.Reg.appendATT(dst)
+	case KindMem:
+		dst = o.Mem.AppendTo(dst)
+	case KindLabel:
+		dst = append(dst, o.Sym...)
+		if o.Off != 0 {
+			dst = appendSigned(dst, o.Off)
+		}
+	}
+	return dst
 }
 
 // String renders the memory reference in AT&T syntax.
 func (m Mem) String() string {
-	var b strings.Builder
+	return string(m.AppendTo(make([]byte, 0, 64)))
+}
+
+// AppendTo appends the memory reference in AT&T syntax to dst and
+// returns the extended buffer. It allocates only to grow dst.
+func (m Mem) AppendTo(dst []byte) []byte {
 	if m.Sym != "" {
-		b.WriteString(m.Sym)
+		dst = append(dst, m.Sym...)
 		if m.Disp != 0 {
-			fmt.Fprintf(&b, "%+d", m.Disp)
+			dst = appendSigned(dst, m.Disp)
 		}
 	} else if m.Disp != 0 || (m.Base == RegNone && m.Index == RegNone) {
-		b.WriteString(strconv.FormatInt(m.Disp, 10))
+		dst = strconv.AppendInt(dst, m.Disp, 10)
 	}
 	if m.Base != RegNone || m.Index != RegNone {
-		b.WriteByte('(')
+		dst = append(dst, '(')
 		if m.Base != RegNone {
-			b.WriteString(m.Base.ATT())
+			dst = m.Base.appendATT(dst)
 		}
 		if m.Index != RegNone {
-			b.WriteByte(',')
-			b.WriteString(m.Index.ATT())
-			b.WriteByte(',')
-			b.WriteString(strconv.Itoa(int(m.EffScale())))
+			dst = append(dst, ',')
+			dst = m.Index.appendATT(dst)
+			dst = append(dst, ',')
+			dst = strconv.AppendUint(dst, uint64(m.EffScale()), 10)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	}
-	return b.String()
+	return dst
+}
+
+// appendSigned appends v with an explicit sign, as fmt's %+d does.
+func appendSigned(dst []byte, v int64) []byte {
+	if v >= 0 {
+		dst = append(dst, '+')
+	}
+	return strconv.AppendInt(dst, v, 10)
 }
 
 // EffScale returns the effective index scale, normalizing 0 to 1.

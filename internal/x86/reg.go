@@ -203,7 +203,12 @@ func (r Reg) String() string {
 
 // ATT returns the AT&T-syntax spelling of the register, e.g. "%rax".
 func (r Reg) ATT() string {
-	return "%" + r.String()
+	return string(r.appendATT(make([]byte, 0, 16)))
+}
+
+// appendATT appends the register's AT&T-syntax spelling to dst.
+func (r Reg) appendATT(dst []byte) []byte {
+	return append(append(dst, '%'), r.String()...)
 }
 
 // IsGPR reports whether r is a general-purpose register of any width.

@@ -217,6 +217,11 @@ func TestOperandString(t *testing.T) {
 		{MemOp(Mem{Disp: 0}), "0"},
 		{LabelOp(".L5"), ".L5"},
 		{Operand{Kind: KindReg, Reg: RAX, Star: true}, "*%rax"},
+		{MemOp(Mem{Sym: "tbl", Disp: -8, Base: RIP}), "tbl-8(%rip)"},
+		{Operand{Kind: KindMem, Mem: Mem{Base: RAX}, Star: true}, "*(%rax)"},
+		{Operand{Kind: KindLabel, Sym: "f", Off: 8}, "f+8"},
+		{Operand{Kind: KindLabel, Sym: "f", Off: -3}, "f-3"},
+		{Operand{}, "<none>"},
 	}
 	for _, c := range cases {
 		if got := c.op.String(); got != c.want {
@@ -234,6 +239,26 @@ func TestInstString(t *testing.T) {
 	j := NewInst(Mnem{Op: OpJCC, Cond: CondG}, LabelOp(".L3"))
 	if got := j.String(); got != "jg\t.L3" {
 		t.Errorf("got %q", got)
+	}
+}
+
+// printSink keeps String's result escaping, as a caller's would.
+var printSink string
+
+// TestInstAppendToNoAllocs: printing an instruction into a buffer with
+// room allocates nothing; String allocates only its result.
+func TestInstAppendToNoAllocs(t *testing.T) {
+	in := NewInst(Mnem{Op: OpMOV, Width: W32},
+		RegOp(EDX), MemOp(Mem{Base: RSI, Index: R8, Scale: 4}))
+	buf := make([]byte, 0, 64)
+	if a := testing.AllocsPerRun(100, func() { buf = in.AppendTo(buf[:0]) }); a != 0 {
+		t.Errorf("AppendTo allocates %.1f times, want 0", a)
+	}
+	if got := string(in.AppendTo([]byte("x:"))); got != "x:movl\t%edx, (%rsi,%r8,4)" {
+		t.Errorf("AppendTo onto a prefix = %q", got)
+	}
+	if a := testing.AllocsPerRun(100, func() { printSink = in.String() }); a != 1 {
+		t.Errorf("String allocates %.1f times, want 1", a)
 	}
 }
 
