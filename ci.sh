@@ -13,10 +13,13 @@
 #               manager with its per-worker relax.State pool, the
 #               shared encode cache, the incremental relaxation
 #               differential suite at 8 workers, the pipeline memo
-#               every worker of a shard shares, the maod service, and
-#               the flight group that maod and maorouter share to
-#               coalesce identical misses) repeated under the race
-#               detector to shake out scheduling-dependent races
+#               every worker of a shard shares, the maod service, the
+#               flight group that maod and maorouter share to
+#               coalesce identical misses, and the passes, whose
+#               analyses read ir.Node indices inside pipeline
+#               workers, with the root package's worker-determinism
+#               and concurrent-pipeline tests) repeated under the
+#               race detector to shake out scheduling-dependent races
 #   maolint     pass bodies may mutate the IR only through the
 #               pass.Ctx helpers — raw ir.List calls break provenance
 #               and fragment dirtying silently
@@ -25,8 +28,9 @@
 #               verifier's zero-false-positive fuzz gate
 #               (FuzzVerifyEquiv), the decoder's decode↔encode oracle
 #               (FuzzDecodeEncodeRoundtrip) and maod's maoar1 archive
-#               framing parser (FuzzParseArchive) run briefly for the
-#               same reason
+#               framing parser (FuzzParseArchive) and the pass-spec
+#               parser (FuzzParsePipeline; specs arrive over HTTP) run
+#               briefly for the same reason
 #   decode-roundtrip
 #               every corpus fixture is assembled to raw machine code
 #               (mao -emit-binary), lifted back through the binary
@@ -103,8 +107,9 @@ go test -race ./...
 echo "== maoledger: the benchmark's API and metric contract"
 (cd maoledger && GOFLAGS=-mod=mod go test ./...)
 
-echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + memo + service + flight group"
-go test -race -count=3 ./internal/pass/ ./internal/relax/ ./internal/memo/ ./internal/serve/ ./internal/router/ ./internal/flight/
+echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + memo + service + flight group + passes"
+go test -race -count=3 ./internal/pass/ ./internal/passes/ ./internal/relax/ ./internal/memo/ ./internal/serve/ ./internal/router/ ./internal/flight/
+go test -race -count=3 -run 'TestPipelineWorkerDeterminism|TestConcurrentPipelines' .
 # The differential suite drives the pooled per-worker relax.States at 8
 # workers with tracing on; repeat it specifically under the detector.
 go test -race -count=2 -run 'TestDifferentialAfterPasses' ./internal/relax/
@@ -123,6 +128,9 @@ go test -run '^$' -fuzz FuzzDecodeEncodeRoundtrip -fuzztime 10s ./internal/x86/d
 
 echo "== fuzz smoke: maoar1 archive framing"
 go test -run '^$' -fuzz FuzzParseArchive -fuzztime 10s ./internal/serve/
+
+echo "== fuzz smoke: pass-spec parser"
+go test -run '^$' -fuzz FuzzParsePipeline -fuzztime 10s ./internal/pass/
 
 echo "== benchmark smoke run"
 go test -run '^$' -bench . -benchtime=1x ./...

@@ -225,6 +225,30 @@ func TestIndirectThroughCallBarrier(t *testing.T) {
 	}
 }
 
+// TestJumpTableRegisterOverwritten: an instruction between the table
+// load and the jump that writes the target register, implicitly or
+// through an operand other than the last, leaves the jump unresolved,
+// as an explicit overwrite does.
+func TestJumpTableRegisterOverwritten(t *testing.T) {
+	for _, clobber := range []string{"xchgq %rax, %rbx", "cltq", "mulq %rcx", "movq %rbx, %rax"} {
+		f := parseFnWithTable(t, `
+	movq .Ltab(,%rdi,8), %rax
+	`+clobber+`
+	jmp *%rax
+.Lcase0:
+	ret
+.Lcase1:
+	ret
+.Ldefault:
+	ret
+`)
+		g := Build(f)
+		if !f.Unresolved || len(g.Unresolved) != 1 {
+			t.Errorf("%s: jump resolved through an overwritten %%rax", clobber)
+		}
+	}
+}
+
 func TestBlockOf(t *testing.T) {
 	f := parseFn(t, "\tnop\n.Lx:\n\tnop\n\tret\n")
 	g := Build(f)

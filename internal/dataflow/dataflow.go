@@ -7,6 +7,8 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"mao/internal/cfg"
 	"mao/internal/ir"
 	"mao/internal/x86"
@@ -68,9 +70,12 @@ type DefUse struct {
 }
 
 // InstDefUse computes the def/use sets of an instruction from the
-// side-effect tables.
+// side-effect tables. It does not allocate: the registers resolve into
+// stack buffers with room for any instruction the tables describe.
 func InstDefUse(in *x86.Inst) DefUse {
-	e := sidefx.InstEffects(in)
+	var reads [16]x86.Reg
+	var writes [8]x86.Reg
+	e := sidefx.AppendEffects(in, reads[:0], writes[:0])
 	var d DefUse
 	for _, r := range e.RegsRead {
 		d.Uses.Add(r)
@@ -109,13 +114,26 @@ func InstDefUse(in *x86.Inst) DefUse {
 }
 
 // Liveness holds per-node live-out register and flag sets for one
-// function CFG.
+// function CFG, in slices indexed by the graph's build positions
+// (cfg.Graph.InstPos).
 type Liveness struct {
-	liveOut  map[*ir.Node]RegSet
-	flagsOut map[*ir.Node]x86.Flags
+	g *cfg.Graph
+	// out holds each placed instruction's live-out sets; nil for a
+	// LiveBlocks result.
+	out    []liveSets
+	blocks []blockFlow
+}
 
-	blockLiveIn  []RegSet
-	blockFlagsIn []x86.Flags
+type liveSets struct {
+	regs  RegSet
+	flags x86.Flags
+}
+
+// blockFlow is one block's composite transfer and its solved live-in
+// sets: live-in = (live-out &^ kill) | gen.
+type blockFlow struct {
+	killR, genR, inR RegSet
+	killF, genF, inF x86.Flags
 }
 
 // Live computes backward liveness over g. Values possibly live on
@@ -126,159 +144,149 @@ type Liveness struct {
 // gen) pair per block, precomputed from the per-instruction def/use
 // sets — so each iteration is a handful of mask operations per block.
 // The per-node live-out sets are filled in by one final backward walk.
+// Whatever the function's size, the analysis makes a fixed number of
+// allocations.
 func Live(g *cfg.Graph) *Liveness { return live(g, true) }
 
 // LiveBlocks computes liveness at block boundaries only: BlockLiveIn
 // and BlockFlagsIn are exact, but the per-node LiveOut/FlagsLiveOut
-// maps are not filled and answer conservatively (everything live).
+// sets are not filled and answer conservatively (everything live).
 // Callers that never ask per-node questions — the verifier compares
 // states at cut points, which are block boundaries — skip the final
 // materialization walk, the dominant cost on large functions.
 func LiveBlocks(g *cfg.Graph) *Liveness { return live(g, false) }
 
 func live(g *cfg.Graph, fillNodes bool) *Liveness {
-	l := &Liveness{}
-	if fillNodes {
-		l.liveOut = make(map[*ir.Node]RegSet)
-		l.flagsOut = make(map[*ir.Node]x86.Flags)
-	}
+	l := &Liveness{g: g, blocks: make([]blockFlow, len(g.Blocks))}
 
-	nb := len(g.Blocks)
-	blockLiveIn := make([]RegSet, nb)
-	blockFlagsIn := make([]x86.Flags, nb)
-
-	// Per-inst def/use, resolved once, and the per-block composition:
-	// live-in = (live-out &^ kill) | gen. Prepending instruction f
-	// (live = live&^Defs | Uses) to composite T gives kill' = kill |
-	// Defs, gen' = (gen &^ Defs) | Uses.
-	var du [][]DefUse
+	// Per-inst def/use, resolved once (kept in du, in block order, when
+	// the final walk needs it), and the per-block composition.
+	// Prepending instruction f (live = live&^Defs | Uses) to composite
+	// T gives kill' = kill | Defs, gen' = (gen &^ Defs) | Uses.
+	var du []DefUse
 	if fillNodes {
-		du = make([][]DefUse, nb)
-	}
-	killR := make([]RegSet, nb)
-	genR := make([]RegSet, nb)
-	killF := make([]x86.Flags, nb)
-	genF := make([]x86.Flags, nb)
-	for i, b := range g.Blocks {
-		if fillNodes {
-			du[i] = make([]DefUse, len(b.Insts))
+		n := 0
+		for _, b := range g.Blocks {
+			n += len(b.Insts)
 		}
+		du = make([]DefUse, n)
+		l.out = make([]liveSets, g.NumInsts())
+	}
+	off := 0
+	for i, b := range g.Blocks {
+		f := &l.blocks[i]
 		for j := len(b.Insts) - 1; j >= 0; j-- {
 			d := InstDefUse(b.Insts[j].Inst)
 			if fillNodes {
-				du[i][j] = d
+				du[off+j] = d
 			}
-			killR[i] |= d.Defs
-			genR[i] = genR[i]&^d.Defs | d.Uses
-			killF[i] |= d.FlagDefs
-			genF[i] = genF[i]&^d.FlagDefs | d.FlagUses
+			f.killR |= d.Defs
+			f.genR = f.genR&^d.Defs | d.Uses
+			f.killF |= d.FlagDefs
+			f.genF = f.genF&^d.FlagDefs | d.FlagUses
 		}
+		off += len(b.Insts)
 	}
 
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for i := nb - 1; i >= 0; i-- {
-			b := g.Blocks[i]
-			var live RegSet
-			var flags x86.Flags
-			for _, s := range b.Succs {
-				live |= blockLiveIn[s.Index]
-				flags |= blockFlagsIn[s.Index]
-			}
-			// An unresolved indirect branch can reach anywhere; stay
-			// conservative.
-			if term := b.Terminator(); term != nil && term.IsIndirectBranch() && len(b.Succs) == 0 {
-				live = allRegs
-				flags = x86.AllFlags
-			}
-			live = live&^killR[i] | genR[i]
-			flags = flags&^killF[i] | genF[i]
-			if live != blockLiveIn[i] || flags != blockFlagsIn[i] {
-				blockLiveIn[i] = live
-				blockFlagsIn[i] = flags
+		for i := len(g.Blocks) - 1; i >= 0; i-- {
+			f := &l.blocks[i]
+			live, flags := l.exit(g.Blocks[i])
+			live = live&^f.killR | f.genR
+			flags = flags&^f.killF | f.genF
+			if live != f.inR || flags != f.inF {
+				f.inR, f.inF = live, flags
 				changed = true
 			}
 		}
 	}
+	if !fillNodes {
+		return l
+	}
 
 	// Final walk: materialize per-node live-out from the solved block
 	// boundaries.
-	if !fillNodes {
-		l.blockLiveIn = blockLiveIn
-		l.blockFlagsIn = blockFlagsIn
-		return l
-	}
-	for i, b := range g.Blocks {
-		var live RegSet
-		var flags x86.Flags
-		for _, s := range b.Succs {
-			live |= blockLiveIn[s.Index]
-			flags |= blockFlagsIn[s.Index]
-		}
-		if term := b.Terminator(); term != nil && term.IsIndirectBranch() && len(b.Succs) == 0 {
-			live = allRegs
-			flags = x86.AllFlags
-		}
+	off = 0
+	for _, b := range g.Blocks {
+		live, flags := l.exit(b)
 		for j := len(b.Insts) - 1; j >= 0; j-- {
-			n := b.Insts[j]
-			l.liveOut[n] = live
-			l.flagsOut[n] = flags
-			d := &du[i][j]
+			if p := g.InstPos(b.Insts[j]); p >= 0 {
+				l.out[p] = liveSets{live, flags}
+			}
+			d := &du[off+j]
 			live = live&^d.Defs | d.Uses
 			flags = flags&^d.FlagDefs | d.FlagUses
 		}
+		off += len(b.Insts)
 	}
-	l.blockLiveIn = blockLiveIn
-	l.blockFlagsIn = blockFlagsIn
 	return l
+}
+
+// exit returns what is live on leaving b: the union of its successors'
+// live-in sets, or everything after an unresolved indirect branch,
+// which can reach anywhere.
+func (l *Liveness) exit(b *cfg.BasicBlock) (RegSet, x86.Flags) {
+	if term := b.Terminator(); term != nil && term.IsIndirectBranch() && len(b.Succs) == 0 {
+		return allRegs, x86.AllFlags
+	}
+	var live RegSet
+	var flags x86.Flags
+	for _, s := range b.Succs {
+		live |= l.blocks[s.Index].inR
+		flags |= l.blocks[s.Index].inF
+	}
+	return live, flags
 }
 
 // LiveOut returns the registers live immediately after n. On a
 // LiveBlocks result it answers conservatively: everything live.
 func (l *Liveness) LiveOut(n *ir.Node) RegSet {
-	if l.liveOut == nil {
+	if l.out == nil {
 		return allRegs
 	}
-	return l.liveOut[n]
+	if p := l.g.InstPos(n); p >= 0 {
+		return l.out[p].regs
+	}
+	return 0
 }
 
 // FlagsLiveOut returns the flag bits live immediately after n. On a
 // LiveBlocks result it answers conservatively: all flags live.
 func (l *Liveness) FlagsLiveOut(n *ir.Node) x86.Flags {
-	if l.flagsOut == nil {
+	if l.out == nil {
 		return x86.AllFlags
 	}
-	return l.flagsOut[n]
+	if p := l.g.InstPos(n); p >= 0 {
+		return l.out[p].flags
+	}
+	return 0
 }
 
 // BlockLiveIn returns the registers live on entry to block b. For the
 // entry block this is the set of registers some path may read before
 // writing.
 func (l *Liveness) BlockLiveIn(b *cfg.BasicBlock) RegSet {
-	if b.Index >= len(l.blockLiveIn) {
+	if b.Index >= len(l.blocks) {
 		return 0
 	}
-	return l.blockLiveIn[b.Index]
+	return l.blocks[b.Index].inR
 }
 
 // BlockFlagsIn returns the flag bits live on entry to block b. For the
 // entry block a non-empty set means some path reads condition codes the
 // function never defined — an invariant the static checker enforces.
 func (l *Liveness) BlockFlagsIn(b *cfg.BasicBlock) x86.Flags {
-	if b.Index >= len(l.blockFlagsIn) {
+	if b.Index >= len(l.blocks) {
 		return 0
 	}
-	return l.blockFlagsIn[b.Index]
+	return l.blocks[b.Index].inF
 }
 
 // bitvec is a packed bit vector over definition-site indices.
 type bitvec []uint64
 
-func newBitvec(n int) bitvec { return make(bitvec, (n+63)/64) }
-
 func (v bitvec) set(i int)      { v[i/64] |= 1 << (i % 64) }
-func (v bitvec) clear(i int)    { v[i/64] &^= 1 << (i % 64) }
 func (v bitvec) has(i int) bool { return v[i/64]&(1<<(i%64)) != 0 }
 
 // or merges src into v, reporting change.
@@ -293,118 +301,94 @@ func (v bitvec) or(src bitvec) bool {
 	return changed
 }
 
-func (v bitvec) clone() bitvec {
-	cp := make(bitvec, len(v))
-	copy(cp, v)
-	return cp
+// andNot removes src's bits from v.
+func (v bitvec) andNot(src bitvec) {
+	for i, w := range src {
+		v[i] &^= w
+	}
 }
 
-// ReachingDefs maps each instruction and register family to the set
-// of definitions that may reach it.
+// ReachingDefs answers which definitions may reach each instruction of
+// one function CFG. It keeps only block-level state: each block's
+// out-set, and each instruction's place among the definitions; a query
+// replays the instruction's block prefix from the block's in-set.
 type ReachingDefs struct {
-	defs    []*ir.Node          // all def sites, indexed
-	defIdx  map[*ir.Node][]int  // def-site indices per node
-	reachIn map[*ir.Node]bitvec // def bits reaching each node
-	byReg   map[int]RegSet      // def index -> families defined
+	g *cfg.Graph
+	// defs are the definition sites in block order; block b's are
+	// defs[first[b]:first[b+1]].
+	defs  []defSite
+	first []int32
+	// before holds, per build position, how many definition sites
+	// precede the instruction: its def index, if it defines.
+	before []int32
+	words  int    // bitvec length over defs
+	out    bitvec // block i's out-set is out[i*words:(i+1)*words]
+	kills  bitvec // kill set k is kills[k*words:(k+1)*words]
+}
+
+type defSite struct {
+	node *ir.Node
+	regs RegSet // families defined
+	kill int32  // the kill set of regs
 }
 
 // Reach computes reaching definitions over g. Barriers (calls) define
-// every register, so definitions never flow across them.
+// every register, so definitions never flow across them. A definition
+// is killed by a later one only when the later one writes every family
+// it writes. Whatever the function's size, the analysis makes a fixed
+// number of allocations.
 func Reach(g *cfg.Graph) *ReachingDefs {
-	r := &ReachingDefs{
-		defIdx:  make(map[*ir.Node][]int),
-		reachIn: make(map[*ir.Node]bitvec),
-	}
-
-	// Enumerate definition sites.
-	var defRegs []RegSet
+	nb := len(g.Blocks)
+	n := 0
 	for _, b := range g.Blocks {
-		for _, n := range b.Insts {
-			d := InstDefUse(n.Inst)
-			if d.Defs != 0 {
-				r.defIdx[n] = append(r.defIdx[n], len(r.defs))
-				r.defs = append(r.defs, n)
-				defRegs = append(defRegs, d.Defs)
-			}
-		}
+		n += len(b.Insts)
 	}
-	nd := len(r.defs)
-	r.byReg = make(map[int]RegSet, nd)
-	for i, s := range defRegs {
-		r.byReg[i] = s
+	counts := make([]int32, g.NumInsts()+nb+1)
+	r := &ReachingDefs{
+		g:      g,
+		defs:   make([]defSite, 0, n),
+		before: counts[:g.NumInsts()],
+		first:  counts[g.NumInsts():],
 	}
 
-	// killMask[S] would be per def-set; precompute per single family
-	// slot (32 slots) the defs wholly contained in that slot set —
-	// kills require defRegs[i] ⊆ killed set, so build per-slot masks
-	// of defs whose families are a subset of any superset containing
-	// the slot. For kill computation we use: def i killed by set S
-	// iff defRegs[i] & S == defRegs[i]. Precompute per-slot "defs
-	// mentioning slot" masks; a kill candidate must mention only
-	// killed slots.
-	slotDefs := make([]bitvec, 32)
-	for s := 0; s < 32; s++ {
-		slotDefs[s] = newBitvec(nd)
-	}
-	for i, regs := range defRegs {
-		for s := 0; s < 32; s++ {
-			if regs&(1<<s) != 0 {
-				slotDefs[s].set(i)
+	// Enumerate definition sites, numbering the distinct register sets
+	// they define: each set's kill mask is computed once.
+	sets := killSets{sets: make([]RegSet, 0, 32)}
+	for i, b := range g.Blocks {
+		r.first[i] = int32(len(r.defs))
+		for _, m := range b.Insts {
+			if p := g.InstPos(m); p >= 0 {
+				r.before[p] = int32(len(r.defs))
+			}
+			if d := InstDefUse(m.Inst); d.Defs != 0 {
+				r.defs = append(r.defs, defSite{m, d.Defs, sets.id(d.Defs)})
 			}
 		}
 	}
-	// kills(S) = defs whose every slot is in S = union over slots in
-	// S of slotDefs minus defs mentioning any slot outside S. Compute
-	// on demand per distinct def set (few distinct sets in practice).
-	killCache := make(map[RegSet]bitvec)
-	kills := func(S RegSet) bitvec {
-		if v, ok := killCache[S]; ok {
-			return v
-		}
-		v := newBitvec(nd)
-		for s := 0; s < 32; s++ {
-			if S&(1<<s) != 0 {
-				v.or(slotDefs[s])
+	r.first[nb] = int32(len(r.defs))
+
+	// One slab: the blocks' out-sets, then the kill masks. Kill set k
+	// holds every def whose families all lie in set k.
+	w := (len(r.defs) + 63) / 64
+	r.words = w
+	slab := make(bitvec, (nb+len(sets.sets)+1)*w)
+	r.out, r.kills = slab[:nb*w], slab[nb*w:(nb+len(sets.sets))*w]
+	for k, s := range sets.sets {
+		mask := r.kills[k*w : (k+1)*w]
+		for i := range r.defs {
+			if r.defs[i].regs&^s == 0 {
+				mask.set(i)
 			}
 		}
-		// Remove defs that also touch slots outside S.
-		for i := 0; i < nd; i++ {
-			if v.has(i) && defRegs[i]&^S != 0 {
-				v.clear(i)
-			}
-		}
-		killCache[S] = v
-		return v
 	}
 
-	blockOut := make([]bitvec, len(g.Blocks))
-	for i := range blockOut {
-		blockOut[i] = newBitvec(nd)
-	}
-
-	changed := true
-	for changed {
+	in := slab[(nb+len(sets.sets))*w:]
+	for changed := true; changed; {
 		changed = false
-		for _, b := range g.Blocks {
-			in := newBitvec(nd)
-			for _, p := range b.Preds {
-				in.or(blockOut[p.Index])
-			}
-			for _, n := range b.Insts {
-				r.reachIn[n] = in.clone()
-
-				d := InstDefUse(n.Inst)
-				if d.Defs != 0 {
-					k := kills(d.Defs)
-					for i := range in {
-						in[i] &^= k[i]
-					}
-					for _, idx := range r.defIdx[n] {
-						in.set(idx)
-					}
-				}
-			}
-			if blockOut[b.Index].or(in) {
+		for i, b := range g.Blocks {
+			r.in(b, in)
+			r.replay(in, int(r.first[i]), int(r.first[i+1]))
+			if r.out[i*w : (i+1)*w].or(in) {
 				changed = true
 			}
 		}
@@ -412,16 +396,64 @@ func Reach(g *cfg.Graph) *ReachingDefs {
 	return r
 }
 
+// in sets v to the union of b's predecessors' out-sets.
+func (r *ReachingDefs) in(b *cfg.BasicBlock, v bitvec) {
+	clear(v)
+	for _, p := range b.Preds {
+		v.or(r.out[p.Index*r.words : (p.Index+1)*r.words])
+	}
+}
+
+// replay applies definition sites lo..hi-1, in order, to v.
+func (r *ReachingDefs) replay(v bitvec, lo, hi int) {
+	for d := lo; d < hi; d++ {
+		k := int(r.defs[d].kill)
+		v.andNot(r.kills[k*r.words : (k+1)*r.words])
+		v.set(d)
+	}
+}
+
+// killSets numbers the distinct register sets definitions write.
+type killSets struct {
+	sets []RegSet
+	one  [32]int32 // 1 + the number of the one-family set {bit}, or 0
+}
+
+func (k *killSets) id(s RegSet) int32 {
+	if s&(s-1) == 0 {
+		b := bits.TrailingZeros64(uint64(s))
+		if k.one[b] == 0 {
+			k.sets = append(k.sets, s)
+			k.one[b] = int32(len(k.sets))
+		}
+		return k.one[b] - 1
+	}
+	for i, t := range k.sets {
+		if t == s {
+			return int32(i)
+		}
+	}
+	k.sets = append(k.sets, s)
+	return int32(len(k.sets) - 1)
+}
+
 // DefsReaching returns the definition sites of reg that may reach the
 // use at n.
 func (r *ReachingDefs) DefsReaching(n *ir.Node, reg x86.Reg) []*ir.Node {
-	in := r.reachIn[n]
+	p := r.g.InstPos(n)
+	if p < 0 {
+		return nil
+	}
+	b := r.g.BlockOf(n)
+	in := make(bitvec, r.words)
+	r.in(b, in)
+	r.replay(in, int(r.first[b.Index]), int(r.before[p]))
 	var out []*ir.Node
 	var want RegSet
 	want.Add(reg)
 	for i := range r.defs {
-		if in.has(i) && r.byReg[i]&want != 0 {
-			out = append(out, r.defs[i])
+		if in.has(i) && r.defs[i].regs&want != 0 {
+			out = append(out, r.defs[i].node)
 		}
 	}
 	return out

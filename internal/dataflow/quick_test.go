@@ -51,22 +51,17 @@ func TestRegSetProperties(t *testing.T) {
 
 // TestBitvecProperties: the packed bit vector behind reaching defs.
 func TestBitvecProperties(t *testing.T) {
-	setHasClear := func(idxs []uint16) bool {
-		v := newBitvec(1 << 16)
-		seen := map[int]bool{}
+	setHasAndNot := func(idxs []uint16) bool {
+		v := make(bitvec, 1<<16/64)
 		for _, raw := range idxs {
-			i := int(raw)
-			v.set(i)
-			seen[i] = true
+			v.set(int(raw))
 		}
 		for _, raw := range idxs {
 			if !v.has(int(raw)) {
 				return false
 			}
 		}
-		for _, raw := range idxs {
-			v.clear(int(raw))
-		}
+		v.andNot(append(bitvec(nil), v...))
 		for _, raw := range idxs {
 			if v.has(int(raw)) {
 				return false
@@ -74,7 +69,7 @@ func TestBitvecProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(setHasClear, nil); err != nil {
+	if err := quick.Check(setHasAndNot, nil); err != nil {
 		t.Error(err)
 	}
 
@@ -89,7 +84,7 @@ func TestBitvecProperties(t *testing.T) {
 		}
 		x := bitvec(append([]uint64(nil), a[:n]...))
 		y := bitvec(b[:n])
-		before := x.clone()
+		before := append(bitvec(nil), x...)
 		changed := x.or(y)
 		for i := range x {
 			if x[i] != before[i]|y[i] {

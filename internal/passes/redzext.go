@@ -35,29 +35,31 @@ func (p *redZext) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
 	reach := dataflow.Reach(g)
 
 	changed := false
-	for _, n := range f.Instructions() {
-		in := n.Inst
-		if !isSelfMove32(in) {
-			continue
-		}
-		defs := reach.DefsReaching(n, in.Args[0].Reg)
-		if len(defs) == 0 {
-			continue // likely an incoming argument; the move matters
-		}
-		ok := true
-		for _, d := range defs {
-			if !zeroExtends32(d.Inst, in.Args[0].Reg) {
-				ok = false
-				break
+	for _, b := range g.Blocks {
+		for _, n := range b.Insts {
+			in := n.Inst
+			if !isSelfMove32(in) {
+				continue
 			}
+			defs := reach.DefsReaching(n, in.Args[0].Reg)
+			if len(defs) == 0 {
+				continue // likely an incoming argument; the move matters
+			}
+			ok := true
+			for _, d := range defs {
+				if !zeroExtends32(d.Inst, in.Args[0].Reg) {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			ctx.Trace(2, "%s: removing %v (all reaching defs zero-extend)", f.Name, in)
+			ctx.Delete(n)
+			ctx.Count("removed", 1)
+			changed = true
 		}
-		if !ok {
-			continue
-		}
-		ctx.Trace(2, "%s: removing %v (all reaching defs zero-extend)", f.Name, in)
-		ctx.Delete(n)
-		ctx.Count("removed", 1)
-		changed = true
 	}
 	return changed, nil
 }

@@ -1,7 +1,8 @@
 package passes
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mao/internal/cfg"
 	"mao/internal/dataflow"
@@ -59,23 +60,24 @@ func schedLatency(in *x86.Inst) int {
 }
 
 // schedPorts returns the execution ports an instruction can issue to,
-// mirroring the paper's Core-2 observation that lea executes only on
-// port 0 while shifts execute on ports 0 and 5.
-func schedPorts(in *x86.Inst) []int {
+// as a mask with bit p set for port p, mirroring the paper's Core-2
+// observation that lea executes only on port 0 while shifts execute on
+// ports 0 and 5.
+func schedPorts(in *x86.Inst) uint8 {
 	switch {
 	case in.Op == x86.OpLEA:
-		return []int{0}
+		return 1 << 0
 	case in.Op == x86.OpSHL || in.Op == x86.OpSHR || in.Op == x86.OpSAR ||
 		in.Op == x86.OpROL || in.Op == x86.OpROR:
-		return []int{0, 5}
+		return 1<<0 | 1<<5
 	case in.ReadsMemory():
-		return []int{2}
+		return 1 << 2
 	case in.WritesMemory():
-		return []int{3}
+		return 1 << 3
 	case in.Op.IsSSE():
-		return []int{0, 1}
+		return 1<<0 | 1<<1
 	default:
-		return []int{0, 1, 5}
+		return 1<<0 | 1<<1 | 1<<5
 	}
 }
 
@@ -195,29 +197,34 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 		}
 	}
 	order := make([]int, 0, n)
-	portBusy := make(map[int]bool) // ports taken in the current issue group
+	var portBusy uint8 // ports taken in the current issue group
 	groupSize := 0
 	const issueWidth = 3
 
 	for len(ready) > 0 {
-		sort.Slice(ready, func(a, c int) bool {
-			x, y := &nodes[ready[a]], &nodes[ready[c]]
+		// Every cost function is a strict total order (ties fall to the
+		// original index), so the schedule does not depend on the sort.
+		slices.SortFunc(ready, func(a, c int) int {
+			x, y := &nodes[a], &nodes[c]
 			switch costFn {
 			case "naive":
-				return x.index < y.index
+				return cmp.Compare(x.index, y.index)
 			case "ports":
 				// Prefer instructions whose ports are free this
 				// group, then critical path.
 				fx, fy := portFree(portBusy, x.node.Inst), portFree(portBusy, y.node.Inst)
 				if fx != fy {
-					return fx
+					if fx {
+						return -1
+					}
+					return 1
 				}
 				fallthrough
 			default: // critpath
 				if x.height != y.height {
-					return x.height > y.height
+					return cmp.Compare(y.height, x.height)
 				}
-				return x.index < y.index
+				return cmp.Compare(x.index, y.index)
 			}
 		})
 		pick := ready[0]
@@ -225,16 +232,13 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 		order = append(order, pick)
 
 		if costFn == "ports" {
-			for _, pt := range schedPorts(nodes[pick].node.Inst) {
-				if !portBusy[pt] {
-					portBusy[pt] = true
-					break
-				}
+			if free := schedPorts(nodes[pick].node.Inst) &^ portBusy; free != 0 {
+				portBusy |= free & -free // the lowest free port
 			}
 			groupSize++
 			if groupSize == issueWidth {
 				groupSize = 0
-				portBusy = make(map[int]bool)
+				portBusy = 0
 			}
 		}
 		for _, s := range nodes[pick].succs {
@@ -281,11 +285,4 @@ func (p *sched) scheduleBlock(ctx *pass.Ctx, f *ir.Function, b *cfg.BasicBlock, 
 }
 
 // portFree reports whether any of the instruction's ports is free.
-func portFree(busy map[int]bool, in *x86.Inst) bool {
-	for _, p := range schedPorts(in) {
-		if !busy[p] {
-			return true
-		}
-	}
-	return false
-}
+func portFree(busy uint8, in *x86.Inst) bool { return schedPorts(in)&^busy != 0 }

@@ -128,8 +128,11 @@ func (c *Cache) InvalidateFunction(f *ir.Function) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, n := range f.Entries() {
+	for n := f.EntryLabel(); n != nil; n = n.Next() {
 		c.node.Remove(n)
+		if n == f.End() {
+			break
+		}
 	}
 }
 

@@ -74,6 +74,11 @@ func One(b []byte, off int) (*Decoded, error) {
 	if d.pos > 15 {
 		return nil, d.errf("instruction exceeds 15 bytes")
 	}
+	if d.lock && d.isRel {
+		// LOCK on a branch is undefined (#UD), and re-encoding it would
+		// move the target by the prefix's length on every round trip.
+		return nil, d.errf("lock prefix on a relative branch")
+	}
 	r := &Decoded{Inst: in, Off: off, Len: d.pos, RelTarget: d.relTarget, IsRel: d.isRel, Long: d.long}
 	return r, nil
 }

@@ -39,6 +39,8 @@ func TestMalformed(t *testing.T) {
 		{"SIB scale without index", "8b44e000", "scale with no index"},
 		{"lea register source", "8dc0", "register source"},
 		{"66 with F3 on SSE", "66f30f58c1", "conflicting"},
+		{"lock on jcc rel8", "f07830", "lock prefix on a relative branch"},
+		{"lock on call rel32", "f0e800000000", "lock prefix on a relative branch"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -102,18 +102,18 @@ var specCache = func() [x86.NumOps][maxCachedArity + 1]cachedSpec {
 }()
 
 // specFor finds the Spec for an instruction: first "name/arity", then
-// the bare opcode name.
-func specFor(in *x86.Inst) (Spec, bool) {
+// the bare opcode name. The result must not be modified.
+func specFor(in *x86.Inst) (*Spec, bool) {
 	if op, ar := int(in.Op), len(in.Args); op > 0 && op < x86.NumOps && ar <= maxCachedArity {
 		e := &specCache[op][ar]
-		return e.s, e.ok
+		return &e.s, e.ok
 	}
 	name := in.Op.String()
 	if s, ok := genTable[specKey(name, len(in.Args))]; ok {
-		return s, true
+		return &s, true
 	}
 	s, ok := genTable[name]
-	return s, ok
+	return &s, ok
 }
 
 func specKey(name string, arity int) string {
@@ -128,27 +128,49 @@ func Known(in *x86.Inst) bool {
 
 // InstEffects resolves the side effects of one concrete instruction.
 // Instructions missing from the tables resolve to a Barrier effect so
-// that analyses stay conservative rather than wrong.
+// that analyses stay conservative rather than wrong. The register
+// slices are allocated at their exact capacity; AppendEffects resolves
+// without allocating.
 func InstEffects(in *x86.Inst) Effects {
 	spec, ok := specFor(in)
 	if !ok {
 		return Effects{Barrier: true}
 	}
-	var e Effects
-	e.Barrier = spec.Barrier
-	e.FlagsSet = spec.FlagsSet
-	e.FlagsRead = spec.FlagsRead
-	e.FlagsUndef = spec.FlagsUndef
-	if spec.CondRead {
-		e.FlagsRead |= in.Cond.FlagsRead()
-	}
-	// Exact-capacity preallocation: InstEffects runs per instruction in
-	// every analysis, so the two slices must not regrow.
+	var reads, writes []x86.Reg
 	if rcap := len(spec.ImpReads) + 2*len(in.Args) + len(spec.Reads); rcap > 0 {
-		e.RegsRead = append(make([]x86.Reg, 0, rcap), spec.ImpReads...)
+		reads = make([]x86.Reg, 0, rcap)
 	}
 	if wcap := len(spec.ImpWrites) + len(spec.Writes); wcap > 0 {
-		e.RegsWritten = append(make([]x86.Reg, 0, wcap), spec.ImpWrites...)
+		writes = make([]x86.Reg, 0, wcap)
+	}
+	return resolve(in, spec, reads, writes)
+}
+
+// AppendEffects resolves the side effects of in as InstEffects does,
+// appending the registers read to reads and those written to writes:
+// the result's RegsRead and RegsWritten are the extended slices. It
+// allocates only to grow them, so a caller passing stack buffers with
+// room resolves without allocating.
+func AppendEffects(in *x86.Inst, reads, writes []x86.Reg) Effects {
+	spec, ok := specFor(in)
+	if !ok {
+		return Effects{RegsRead: reads, RegsWritten: writes, Barrier: true}
+	}
+	return resolve(in, spec, reads, writes)
+}
+
+// resolve is the one resolver behind InstEffects and AppendEffects.
+func resolve(in *x86.Inst, spec *Spec, reads, writes []x86.Reg) Effects {
+	e := Effects{
+		RegsRead:    append(reads, spec.ImpReads...),
+		RegsWritten: append(writes, spec.ImpWrites...),
+		Barrier:     spec.Barrier,
+		FlagsSet:    spec.FlagsSet,
+		FlagsRead:   spec.FlagsRead,
+		FlagsUndef:  spec.FlagsUndef,
+	}
+	if spec.CondRead {
+		e.FlagsRead |= in.Cond.FlagsRead()
 	}
 
 	addRead := func(r x86.Reg) {
