@@ -15,9 +15,10 @@
 #               differential suite at 8 workers, the pipeline memo
 #               every worker of a shard shares, the maod service, the
 #               flight group that maod and maorouter share to
-#               coalesce identical misses, and the passes, whose
+#               coalesce identical misses, the passes, whose
 #               analyses read ir.Node indices inside pipeline
-#               workers, with the root package's worker-determinism
+#               workers, and maotop's one-shot poll of an in-process
+#               fleet, with the root package's worker-determinism
 #               and concurrent-pipeline tests) repeated under the
 #               race detector to shake out scheduling-dependent races
 #   maolint     pass bodies may mutate the IR only through the
@@ -27,10 +28,13 @@
 #               seeds keep passing and the harness cannot rot; the
 #               verifier's zero-false-positive fuzz gate
 #               (FuzzVerifyEquiv), the decoder's decode↔encode oracle
-#               (FuzzDecodeEncodeRoundtrip) and maod's maoar1 archive
-#               framing parser (FuzzParseArchive) and the pass-spec
-#               parser (FuzzParsePipeline; specs arrive over HTTP) run
-#               briefly for the same reason
+#               (FuzzDecodeEncodeRoundtrip), maod's maoar1 archive
+#               framing parser (FuzzParseArchive), the pass-spec
+#               parser (FuzzParsePipeline; specs arrive over HTTP),
+#               the X-Mao-Trace header parser (FuzzParseHeader) and
+#               the metrics exposition parser maotop reads from the
+#               network (FuzzParseProm) run briefly for the same
+#               reason
 #   decode-roundtrip
 #               every corpus fixture is assembled to raw machine code
 #               (mao -emit-binary), lifted back through the binary
@@ -107,8 +111,8 @@ go test -race ./...
 echo "== maoledger: the benchmark's API and metric contract"
 (cd maoledger && GOFLAGS=-mod=mod go test ./...)
 
-echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + memo + service + flight group + passes"
-go test -race -count=3 ./internal/pass/ ./internal/passes/ ./internal/relax/ ./internal/memo/ ./internal/serve/ ./internal/router/ ./internal/flight/
+echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + memo + service + flight group + passes + maotop"
+go test -race -count=3 ./internal/pass/ ./internal/passes/ ./internal/relax/ ./internal/memo/ ./internal/serve/ ./internal/router/ ./internal/flight/ ./cmd/maotop/
 go test -race -count=3 -run 'TestPipelineWorkerDeterminism|TestConcurrentPipelines' .
 # The differential suite drives the pooled per-worker relax.States at 8
 # workers with tracing on; repeat it specifically under the detector.
@@ -131,6 +135,12 @@ go test -run '^$' -fuzz FuzzParseArchive -fuzztime 10s ./internal/serve/
 
 echo "== fuzz smoke: pass-spec parser"
 go test -run '^$' -fuzz FuzzParsePipeline -fuzztime 10s ./internal/pass/
+
+echo "== fuzz smoke: X-Mao-Trace header parser"
+go test -run '^$' -fuzz FuzzParseHeader -fuzztime 10s ./internal/scope/
+
+echo "== fuzz smoke: Prometheus exposition parser"
+go test -run '^$' -fuzz FuzzParseProm -fuzztime 10s ./internal/scope/
 
 echo "== benchmark smoke run"
 go test -run '^$' -bench . -benchtime=1x ./...

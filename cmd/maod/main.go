@@ -46,8 +46,6 @@ func main() {
 		addr        = flag.String("addr", ":7950", "listen address (host:port; :0 picks a free port)")
 		workers     = flag.Int("workers", 0, "optimization worker goroutines (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 0, "admission queue depth; beyond it requests get 429 (0 = default)")
-		batchWindow = flag.Duration("batch-window", 0, "how long to hold a request for same-spec batching (0 = default)")
-		batchMax    = flag.Int("batch-max", 0, "max requests per batch (0 = default)")
 		cacheSize   = flag.Int("result-cache", 0, "result-cache entries, 0 = default, -1 disables")
 		pipeWorkers = flag.Int("pipeline-workers", 1, "intra-unit pass parallelism (1 = deterministic order is free)")
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = default)")
@@ -71,8 +69,6 @@ func main() {
 	cfg := serve.Config{
 		Workers:            *workers,
 		QueueDepth:         *queue,
-		BatchWindow:        *batchWindow,
-		BatchMax:           *batchMax,
 		ResultCacheEntries: *cacheSize,
 		PipelineWorkers:    *pipeWorkers,
 		DefaultDeadline:    *deadline,
@@ -126,11 +122,10 @@ func main() {
 	}
 
 	// Graceful drain, in two stages. Close first: it stops admission
-	// (new optimize requests answer 503, /readyz flips), flushes every
-	// batch still waiting out its window, and runs every admitted
-	// request to completion — no admitted request is dropped, and none
-	// waits for a batch timer. Shutdown then closes the listener and
-	// waits for the handlers to finish writing their responses.
+	// (new optimize requests answer 503, /readyz flips) and runs every
+	// admitted request to completion — no admitted request is dropped.
+	// Shutdown then closes the listener and waits for the handlers to
+	// finish writing their responses.
 	srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -140,53 +142,90 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonGracefulDrain delivers SIGTERM while a request is still
-// held in the batching window and asserts the request completes with
-// 200 and the daemon exits 0.
-func TestDaemonGracefulDrain(t *testing.T) {
-	base, cmd, errlog := startMaod(t, "-batch-window", "30s", "-quiet")
-
-	type answer struct {
-		code int
-		err  error
+// drainUnit returns a unit of n copies of daemonSource's function,
+// every label prefixed with prefix: distinct prefixes make distinct
+// code, which neither the result cache, the flight group nor the
+// pipeline memo can share.
+func drainUnit(prefix string, n int) string {
+	var b strings.Builder
+	b.WriteString("\t.text\n")
+	for k := 0; k < n; k++ {
+		f := fmt.Sprintf("%s_f%d", prefix, k)
+		fmt.Fprintf(&b, "\t.globl %[1]s\n\t.type %[1]s,@function\n%[1]s:\n"+
+			"\tsubl $16, %%r15d\n\ttestl %%r15d, %%r15d\n\tje .L%[1]s\n"+
+			"\tmovq 24(%%rsp), %%rdx\n\tmovq 24(%%rsp), %%rcx\n"+
+			".L%[1]s:\n\tret\n\t.size %[1]s,.-%[1]s\n", f)
 	}
-	got := make(chan answer, 1)
-	go func() {
-		req, _ := json.Marshal(map[string]any{"source": daemonSource, "spec": "REDTEST"})
-		resp, err := http.Post(base+"/v1/optimize", "application/json", bytes.NewReader(req))
-		if err != nil {
-			got <- answer{err: err}
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		got <- answer{code: resp.StatusCode}
-	}()
+	return b.String()
+}
 
-	// Wait until the request is admitted (visible in the queue gauge):
-	// with a 30s batch window it then sits pending until drain flushes.
-	deadline := time.Now().Add(5 * time.Second)
+// metricValue returns the value of an unlabeled sample on a /metrics
+// page, or -1 when the page does not carry it.
+func metricValue(page, name string) float64 {
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				return f
+			}
+		}
+	}
+	return -1
+}
+
+// TestDaemonGracefulDrain delivers SIGTERM while admitted requests are
+// still queued behind the daemon's only worker and asserts that every
+// request completes with 200 and the daemon exits 0.
+func TestDaemonGracefulDrain(t *testing.T) {
+	base, cmd, errlog := startMaod(t, "-workers", "1", "-quiet")
+
+	const n = 6
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		req, _ := json.Marshal(map[string]any{
+			"name":   fmt.Sprintf("drain%d.s", i),
+			"source": drainUnit(fmt.Sprintf("u%d", i), 2000),
+			"spec":   "REDZEXT:REDTEST:REDMOV:ADDADD:SCHED:LOOP16",
+		})
+		go func() {
+			resp, err := http.Post(base+"/v1/optimize", "application/json", bytes.NewReader(req))
+			if err != nil {
+				t.Errorf("request during drain: %v", err)
+				codes <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+
+	// Wait until every request is admitted (picked up or queued) with
+	// at least one still waiting for the worker, then drain.
+	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, body := getBody(t, base+"/metrics")
-		if strings.Contains(body, "maod_queue_depth 1") {
+		_, page := getBody(t, base+"/metrics")
+		queued := metricValue(page, "maod_queue_depth")
+		if queued >= 1 && queued+metricValue(page, "maod_batch_jobs_total") == n {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("request never queued:\n%s", body)
+			t.Fatalf("requests never queued behind the worker:\n%s", page)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case a := <-got:
-		if a.err != nil || a.code != 200 {
-			t.Errorf("in-flight request during drain: code=%d err=%v", a.code, a.err)
+	for i := 0; i < n; i++ {
+		select {
+		case code := <-codes:
+			if code != 200 {
+				t.Errorf("admitted request during drain: status %d", code)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("admitted request never completed during drain")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("in-flight request never completed during drain")
 	}
 	if err := cmd.Wait(); err != nil {
 		t.Errorf("daemon exit status after SIGTERM: %v\nstderr:\n%s", err, errlog.String())

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -100,33 +101,18 @@ func main() {
 	}
 
 	client := &http.Client{Timeout: 5 * time.Second}
-	shards := splitCSV(*shardsCSV)
-	if len(shards) == 0 {
-		var err error
-		shards, err = discoverShards(client, *routerURL)
-		if err != nil {
-			log.Fatalf("discovering shards from %s: %v", *routerURL, err)
-		}
-	}
 	debugs := splitCSV(*debugCSV)
-
-	cur := collect(client, *routerURL, shards)
 	if *once {
-		view := buildView(nil, cur, *routerURL, shards)
-		attachFlight(client, debugs, &view)
-		render(view, *asJSON)
-		// One-shot mode is what CI consumes: an unreachable or
-		// unparseable exposition plane is a failure, not a dash.
-		if *routerURL != "" && cur.router == nil {
-			log.Fatalf("router %s: /metrics unreachable or unparseable", *routerURL)
-		}
-		for _, s := range view.Shards {
-			if !s.Up {
-				log.Fatalf("shard %s: /metrics unreachable or unparseable", s.URL)
-			}
+		if err := pollOnce(os.Stdout, client, *routerURL, splitCSV(*shardsCSV), debugs, *asJSON); err != nil {
+			log.Fatal(err)
 		}
 		return
 	}
+	shards, err := resolveShards(client, *routerURL, splitCSV(*shardsCSV))
+	if err != nil {
+		log.Fatal(err)
+	}
+	cur := collect(client, *routerURL, shards)
 	for {
 		time.Sleep(*interval)
 		prev := cur
@@ -136,8 +122,35 @@ func main() {
 		if !*asJSON {
 			fmt.Print("\x1b[2J\x1b[H") // clear + home
 		}
-		render(view, *asJSON)
+		if err := render(os.Stdout, view, *asJSON); err != nil {
+			log.Fatal(err)
+		}
 	}
+}
+
+// pollOnce polls every plane once and writes the view to w. One-shot
+// mode is what CI consumes: an unreachable or unparseable exposition
+// plane is an error, not a dash, reported after the view is written.
+func pollOnce(w io.Writer, client *http.Client, routerURL string, shards, debugs []string, asJSON bool) error {
+	shards, err := resolveShards(client, routerURL, shards)
+	if err != nil {
+		return err
+	}
+	cur := collect(client, routerURL, shards)
+	view := buildView(nil, cur, routerURL, shards)
+	attachFlight(client, debugs, &view)
+	if err := render(w, view, asJSON); err != nil {
+		return err
+	}
+	if routerURL != "" && cur.router == nil {
+		return fmt.Errorf("router %s: /metrics unreachable or unparseable", routerURL)
+	}
+	for _, s := range view.Shards {
+		if !s.Up {
+			return fmt.Errorf("shard %s: /metrics unreachable or unparseable", s.URL)
+		}
+	}
+	return nil
 }
 
 func splitCSV(s string) []string {
@@ -150,15 +163,17 @@ func splitCSV(s string) []string {
 	return out
 }
 
-// discoverShards reads the shard list off the router's
-// maorouter_shard_healthy series — the labels are the configured
-// shard base URLs.
-func discoverShards(client *http.Client, routerURL string) ([]string, error) {
+// resolveShards returns shards when given, and otherwise reads the
+// shard list off the router's maorouter_shard_healthy series — the
+// labels are the configured shard base URLs.
+func resolveShards(client *http.Client, routerURL string, shards []string) ([]string, error) {
+	if len(shards) > 0 {
+		return shards, nil
+	}
 	m, err := fetchMetrics(client, routerURL)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("discovering shards from %s: %w", routerURL, err)
 	}
-	var shards []string
 	for _, s := range m["maorouter_shard_healthy"] {
 		if u := s.Labels["shard"]; u != "" {
 			shards = append(shards, u)
@@ -340,20 +355,19 @@ func fetchFlight(client *http.Client, base, viewName string) []flightEntry {
 // heatShades maps a 0..1 intensity onto terminal cells.
 var heatShades = []string{"  ", "░░", "▒▒", "▓▓", "██"}
 
-func render(view fleetView, asJSON bool) {
+// render writes the view to w, as the dashboard or as one JSON
+// document.
+func render(w io.Writer, view fleetView, asJSON bool) error {
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetEscapeHTML(false)
-		if err := enc.Encode(view); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return enc.Encode(view)
 	}
 	if view.Router != nil {
-		fmt.Printf("router %s  healthy %g  retries %g  unrouted %g\n\n",
+		fmt.Fprintf(w, "router %s  healthy %g  retries %g  unrouted %g\n\n",
 			view.Router.URL, view.Router.HealthyShards, view.Router.Retries, view.Router.NoShard)
 	}
-	fmt.Printf("%-28s %-5s %8s %7s %6s %6s %7s %8s %8s\n",
+	fmt.Fprintf(w, "%-28s %-5s %8s %7s %6s %6s %7s %8s %8s\n",
 		"SHARD", "STATE", "QPS", "HIT%", "QUEUE", "INFL", "QREJ", "P50ms", "P99ms")
 	for _, s := range view.Shards {
 		state := "up"
@@ -362,7 +376,7 @@ func render(view fleetView, asJSON bool) {
 		} else if s.Healthy != nil && !*s.Healthy {
 			state = "unrtd" // serving /metrics but failing the router's probe
 		}
-		fmt.Printf("%-28s %-5s %8.1f %7.1f %6.0f %6.0f %7.0f %8.2f %8.2f\n",
+		fmt.Fprintf(w, "%-28s %-5s %8.1f %7.1f %6.0f %6.0f %7.0f %8.2f %8.2f\n",
 			trimURL(s.URL), state, s.QPS, s.CacheHitRate*100,
 			s.QueueDepth, s.Inflight, s.QuotaRejects, s.P50MS, s.P99MS)
 	}
@@ -386,9 +400,9 @@ func render(view fleetView, asJSON bool) {
 			names = append(names, p)
 		}
 		sort.Strings(names)
-		fmt.Printf("\npass latency heatmap (mean, max %.2fms)\n", maxMean)
+		fmt.Fprintf(w, "\npass latency heatmap (mean, max %.2fms)\n", maxMean)
 		for _, p := range names {
-			fmt.Printf("%-14s", p)
+			fmt.Fprintf(w, "%-14s", p)
 			for _, s := range view.Shards {
 				mean := 0.0
 				for _, st := range s.Passes {
@@ -397,27 +411,28 @@ func render(view fleetView, asJSON bool) {
 					}
 				}
 				idx := int(mean / maxMean * float64(len(heatShades)-1))
-				fmt.Print(heatShades[idx], " ")
+				fmt.Fprint(w, heatShades[idx], " ")
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
 	if len(view.Errors) > 0 {
-		fmt.Println("\nrecent errors")
+		fmt.Fprintln(w, "\nrecent errors")
 		for _, e := range view.Errors {
-			fmt.Printf("  [%s] %s %s status %d: %s\n",
+			fmt.Fprintf(w, "  [%s] %s %s status %d: %s\n",
 				e.Source, e.Record.TraceID, e.Record.Path, e.Record.Status, e.Record.Err)
 		}
 	}
 	if len(view.Slowest) > 0 {
-		fmt.Println("\nslowest requests")
+		fmt.Fprintln(w, "\nslowest requests")
 		for _, e := range view.Slowest {
-			fmt.Printf("  [%s] %s %s %.2fms cache=%s shard=%s\n",
+			fmt.Fprintf(w, "  [%s] %s %s %.2fms cache=%s shard=%s\n",
 				e.Source, e.Record.TraceID, e.Record.Path,
 				float64(e.Record.DurNS)/1e6, e.Record.Cache, e.Record.Shard)
 		}
 	}
+	return nil
 }
 
 // trimURL drops the scheme so shard columns stay narrow.

@@ -44,9 +44,22 @@ func ParseString(name, src string) (*ir.Unit, error) {
 	return p.unit, nil
 }
 
+// ParseNodes parses assembly source into nodes linked into no list:
+// no unit is built and no structure analysis runs, so Section is
+// unset and Line is the node's line in src. It serves callers that
+// splice the nodes into a unit of their own and analyze that unit.
+func ParseNodes(name, src string) ([]*ir.Node, error) {
+	p := &parser{file: name}
+	if err := p.parse(src); err != nil {
+		return nil, err
+	}
+	return p.nodes, nil
+}
+
 type parser struct {
 	file  string
-	unit  *ir.Unit
+	unit  *ir.Unit   // the unit parsed nodes join; nil for ParseNodes
+	nodes []*ir.Node // the parsed nodes when unit is nil
 	line  int
 	intel bool // inside .intel_syntax mode
 }
@@ -55,10 +68,14 @@ func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{File: p.file, Line: p.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// append adds a node to the unit stamped with the current source line,
-// so diagnostics can report file:line positions.
+// append adds a node to the unit (or the node slice) stamped with the
+// current source line, so diagnostics can report file:line positions.
 func (p *parser) append(n *ir.Node) {
 	n.Line = p.line
+	if p.unit == nil {
+		p.nodes = append(p.nodes, n)
+		return
+	}
 	p.unit.Append(n)
 }
 

@@ -3,19 +3,24 @@ package memo_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mao/internal/asm"
+	"mao/internal/check"
 	"mao/internal/corpus"
+	"mao/internal/ir"
 	"mao/internal/memo"
 	"mao/internal/pass"
+	"mao/internal/trace"
 )
 
 // The acceptance criterion for memoization: across every corpus
 // fixture, a representative pipeline matrix and worker counts 1 and
 // 8, a memoized run — both the run that fills the memo and the run
 // answered from it — emits assembly byte-identical to a cold,
-// unmemoized run.
+// unmemoized run, with the same check diagnostics and the same
+// explain lineage (source lines and provenance).
 
 var diffSpecs = []string{
 	"",                   // parse + canonical re-emission
@@ -67,7 +72,7 @@ func TestMemoDifferentialCorpus(t *testing.T) {
 				if _, err := mgrCold.Run(cold); err != nil {
 					t.Fatalf("%s spec=%q: cold run: %v", name, spec, err)
 				}
-				want := cold.String()
+				want, wantDiags, wantLineage := observe(t, cold)
 
 				run := func(label string) *pass.Stats {
 					u, err := asm.ParseString(name, src)
@@ -85,8 +90,17 @@ func TestMemoDifferentialCorpus(t *testing.T) {
 						t.Fatalf("%s spec=%q workers=%d: %s run: %v",
 							name, spec, workers, label, err)
 					}
-					if got := u.String(); got != want {
+					got, diags, lineage := observe(t, u)
+					if got != want {
 						t.Errorf("%s spec=%q workers=%d: %s run differs from cold run",
+							name, spec, workers, label)
+					}
+					if !reflect.DeepEqual(diags, wantDiags) {
+						t.Errorf("%s spec=%q workers=%d: %s run's check diagnostics differ from the cold run's:\n%v\nvs\n%v",
+							name, spec, workers, label, diags, wantDiags)
+					}
+					if !reflect.DeepEqual(lineage, wantLineage) {
+						t.Errorf("%s spec=%q workers=%d: %s run's explain lineage differs from the cold run's",
 							name, spec, workers, label)
 					}
 					return stats
@@ -101,4 +115,15 @@ func TestMemoDifferentialCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// observe returns what the service answers for an optimized unit: its
+// assembly, check diagnostics and explain lineage, after the analysis
+// the service runs before emitting.
+func observe(t *testing.T, u *ir.Unit) (string, []check.Diag, []trace.InstLineage) {
+	t.Helper()
+	if err := u.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	return u.String(), check.CheckUnit(u), trace.Lineage(u)
 }

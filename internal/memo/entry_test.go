@@ -1,13 +1,17 @@
 package memo_test
 
 import (
+	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
+	"mao/internal/asm"
 	"mao/internal/check"
+	"mao/internal/corpus"
 	"mao/internal/ir"
 	"mao/internal/memo"
 	"mao/internal/trace"
@@ -91,6 +95,14 @@ func TestMemoHitReportsOwnSourceLines(t *testing.T) {
 	if got, want := addlSourceLine(t, hit), addlSourceLine(t, cold); got != want || want != 10 {
 		t.Errorf("explain source_line %d after a memo hit, %d after a cold run, want 10", got, want)
 	}
+	_, hitDiags, hitLineage := observe(t, hit)
+	_, coldDiags, coldLineage := observe(t, cold)
+	if !reflect.DeepEqual(hitDiags, coldDiags) {
+		t.Errorf("check diagnostics after a memo hit:\n%v\nafter a cold run:\n%v", hitDiags, coldDiags)
+	}
+	if !reflect.DeepEqual(hitLineage, coldLineage) {
+		t.Errorf("explain lineage after a memo hit:\n%v\nafter a cold run:\n%v", hitLineage, coldLineage)
+	}
 }
 
 // TestMemoKeyFoldsRelativeLines: a span whose lines are laid out
@@ -165,5 +177,125 @@ func TestMemoEntriesOwnTheirStrings(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the filling request's source is still reachable through the memo")
 		}
+	}
+}
+
+// TestMemoBadEntryRunsCold: an entry whose text no longer parses back
+// into its stored node count leaves the unit untouched at splice time,
+// counts as a miss, and the run falls back to the cold pipeline — the
+// answer is byte-identical and the refill repairs the entry.
+func TestMemoBadEntryRunsCold(t *testing.T) {
+	cold := parse(t, srcTwo)
+	if _, err := newManager(t, "REDTEST", nil).Run(cold); err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(string) string{
+		"unparseable": func(string) string { return "\tnotamnemonic %eax\n" },
+		"extra node":  func(s string) string { return s + "\tnop\n" },
+		"lost node":   func(s string) string { return s[strings.Index(s, "\n")+1:] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := memo.New(0, "v1")
+			if _, err := newManager(t, "REDTEST", m).Run(parse(t, srcTwo)); err != nil {
+				t.Fatal(err)
+			}
+			u := parse(t, srcTwo)
+			p := m.NewPlan(u, "REDTEST", true)
+			g := 1 // REDTEST changes g, the second function
+			good, ok := memo.EntryText(m, p, g)
+			if !ok || good == "" {
+				t.Fatalf("no changed entry for g (ok=%v)", ok)
+			}
+			memo.SetEntryText(m, p, g, corrupt(good))
+
+			before, mm := u.String(), m.Metrics()
+			hit, ok := m.Lookup(p)
+			if !ok {
+				t.Fatal("corrupted entry no longer found")
+			}
+			if _, err := hit.Splice(u); !errors.Is(err, memo.ErrBadEntry) {
+				t.Fatalf("Splice error = %v, want ErrBadEntry", err)
+			}
+			if u.String() != before {
+				t.Fatalf("a failed splice edited the unit:\n%s", u)
+			}
+			after := m.Metrics()
+			if after.Hits != mm.Hits || after.Misses != mm.Misses+2 {
+				t.Errorf("hits %d→%d, misses %d→%d; want the two probes counted as misses",
+					mm.Hits, after.Hits, mm.Misses, after.Misses)
+			}
+
+			u = parse(t, srcTwo)
+			stats, err := newManager(t, "REDTEST", m).Run(u)
+			if err != nil {
+				t.Fatalf("a bad entry failed the run: %v", err)
+			}
+			if stats.Get("MEMO", "functions") != 0 || stats.Get("REDTEST", "removed") != 1 {
+				t.Errorf("run over a bad entry did not run cold, stats:\n%s", stats)
+			}
+			if u.String() != cold.String() {
+				t.Fatalf("fallback run differs from cold run:\n%s\nvs\n%s", u, cold)
+			}
+			if text, _ := memo.EntryText(m, p, g); text != good {
+				t.Errorf("the cold run's fill left entry %q, want %q", text, good)
+			}
+			u = parse(t, srcTwo)
+			if stats, err := newManager(t, "REDTEST", m).Run(u); err != nil || stats.Get("MEMO", "spliced") != 1 {
+				t.Errorf("refilled entry does not splice: %v\n%s", err, stats)
+			}
+			if u.String() != cold.String() {
+				t.Fatalf("splice of the refilled entry differs from cold run:\n%s\nvs\n%s", u, cold)
+			}
+		})
+	}
+}
+
+// TestMemoFootprint pins what an entry costs: after filling from the
+// corpus fixtures and the 19 SPEC-shaped corpus workloads under SCHED
+// (which rewrites most spans), the heap the memo retains is within a
+// small multiple of its entries' text. 3x leaves room for keys and
+// per-node records yet fails any entry that keeps a node graph (about
+// 19x on this fill).
+func TestMemoFootprint(t *testing.T) {
+	sources := diffSources(t)
+	for _, w := range append(corpus.Spec2000Int(0.2), corpus.Spec2006Subset(0.2)...) {
+		sources[w.Name+".s"] = corpus.Generate(w)
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	m := memo.New(0, "v1")
+	var keys []string
+	for name, src := range sources {
+		u, err := asm.ParseString(name, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, memo.Keys(m.NewPlan(u, "SCHED", true))...)
+		if _, err := newManager(t, "SCHED", m).Run(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := memo.TextBytes(m, keys)
+	keys = nil
+	// What the memo retains is the heap it alone keeps reachable.
+	held := heap()
+	entries := m.Len() // m stays live through the measurement above
+	m = nil
+	retained := int64(held) - int64(heap())
+
+	t.Logf("%d entries, %d text bytes, %d bytes retained (%.2fx)",
+		entries, text, retained, float64(retained)/float64(text))
+	if entries < 100 || text == 0 {
+		t.Fatalf("fill stored %d entries with %d text bytes; the pin needs a real fill", entries, text)
+	}
+	if retained > 3*int64(text) {
+		t.Errorf("memo retains %d bytes for %d bytes of entry text (%.2fx), want at most 3x",
+			retained, text, float64(retained)/float64(text))
 	}
 }

@@ -7,7 +7,8 @@
 // local change. The memo makes that path O(new work): every function
 // of a unit is fingerprinted by content, and a unit whose functions
 // all hit skips the pass pipeline entirely — the memoized optimized
-// spans are spliced in as cloned IR, byte-identical to a cold run.
+// spans are re-parsed from their stored text and spliced in,
+// byte-identical to a cold run.
 //
 // # Key derivation
 //
@@ -46,12 +47,23 @@
 // relative lines into the span fingerprint keeps entries shared only
 // between identically laid-out spans, where rebasing is exact.
 //
-// # Ownership
+// # Entries as text
 //
-// Entries own their strings: Fill copies every string of the stored
-// nodes (labels, symbols, directive text, sections) into one string
-// per entry, so an entry never keeps the filling request's source
-// text alive. Splices share the entry's copies.
+// An entry stores a changed span as the lines of assembly its nodes
+// render to — the text Fill already renders to fingerprint the span —
+// plus, per node, its relative source line and an index into the
+// span's distinct provenance records. It holds no IR: Splice parses
+// the text back into fresh nodes (the printer/parser fixpoint the
+// golden and fuzz tests pin makes that exact), rebases their lines
+// and gives each its own provenance record, since passes stamp
+// provenance in place. The text is one string copied per entry, so
+// an entry never keeps the filling request's source text alive, and
+// the memo retains about twice its entries' text (TestMemoFootprint).
+//
+// Splice parses every entry before it edits the unit. An entry that
+// fails to parse, or parses into a different node count, leaves the
+// unit untouched and counts the lookup as a miss; the caller then
+// runs the pipeline cold, so a memo entry can never fail a request.
 //
 // # Fill-time self-validation
 //
@@ -67,23 +79,30 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"mao/internal/asm"
 	"mao/internal/ir"
 	"mao/internal/lru"
 )
 
 // formatVersion is baked into every key; bump it when the entry
 // layout or fingerprint composition changes incompatibly.
-const formatVersion = "maomemo/2"
+const formatVersion = "maomemo/3"
+
+// ErrBadEntry is returned by Splice when a memoized span does not
+// parse back into the nodes it was stored from. The unit is untouched
+// and the caller runs the pipeline cold.
+var ErrBadEntry = errors.New("memo: entry does not parse back")
 
 // Memo is a bounded, content-addressed store of per-function pipeline
-// results. It is safe for concurrent use; stored spans are immutable
-// and cloned on every splice.
+// results. It is safe for concurrent use; stored entries are
+// immutable and parsed into fresh nodes on every splice.
 type Memo struct {
 	mu      sync.Mutex
 	entries *lru.Cache[string, entry]
@@ -92,13 +111,65 @@ type Memo struct {
 	hits, misses, stores, evictions, unmemoizable atomic.Uint64
 }
 
-// entry is one memoized function result. nodes is nil when the
+// entry is one memoized function result. text is empty when the
 // pipeline left the span byte-identical (the common fixpoint case):
-// splicing such an entry is a no-op. Their lines are relative (see
-// relLine) and their strings owned by the entry (see ownStrings).
+// splicing such an entry is a no-op.
 type entry struct {
-	nodes     []*ir.Node
-	identical bool
+	text  string          // the span's rendered lines, one per node
+	nodes []nodeMeta      // per node of the span, in order
+	provs []ir.Provenance // the span's distinct provenance records
+}
+
+// nodeMeta is what an entry keeps of one node besides its line of
+// text.
+type nodeMeta struct {
+	line int32 // source line relative to the entry label (see relLine)
+	prov int32 // 1 + index into entry.provs; 0 for a node with none
+}
+
+// provIndex returns pv's nodeMeta.prov value, appending *pv to provs
+// when the span has not recorded it yet.
+func provIndex(provs []ir.Provenance, pv *ir.Provenance) (int32, []ir.Provenance) {
+	if pv == nil {
+		return 0, provs
+	}
+	if i := slices.Index(provs, *pv); i >= 0 {
+		return int32(i + 1), provs
+	}
+	provs = append(provs, *pv)
+	return int32(len(provs)), provs
+}
+
+// parse returns fresh, unlinked nodes for a changed entry, their lines
+// rebased onto an entry label at source line base, each with its own
+// provenance record (passes stamp records in place).
+func (e entry) parse(base int) ([]*ir.Node, error) {
+	nodes, err := asm.ParseNodes("memo", e.text)
+	if err != nil {
+		return nil, err
+	}
+	if len(nodes) != len(e.nodes) {
+		return nil, fmt.Errorf("%d nodes parsed, %d stored", len(nodes), len(e.nodes))
+	}
+	withProv := 0
+	for _, md := range e.nodes {
+		if md.prov != 0 {
+			withProv++
+		}
+	}
+	provs := make([]ir.Provenance, 0, withProv)
+	for i, n := range nodes {
+		md := e.nodes[i]
+		n.Line = 0
+		if md.line != 0 {
+			n.Line = int(md.line) + base - 1
+		}
+		if md.prov != 0 {
+			provs = append(provs, e.provs[md.prov-1])
+			n.Prov = &provs[len(provs)-1]
+		}
+	}
+	return nodes, nil
 }
 
 // New returns a memo bounded to maxEntries function entries (<= 0
@@ -315,7 +386,7 @@ func contentFingerprints(u *ir.Unit, fns []*ir.Function, wantUnit bool) (spanFPs
 // the plan, ready to splice.
 type Hit struct {
 	plan    *Plan
-	nodes   [][]*ir.Node // nil per function when the span is unchanged
+	entries []entry
 	spliced int
 }
 
@@ -326,7 +397,7 @@ func (m *Memo) Lookup(p *Plan) (*Hit, bool) {
 	if p == nil {
 		return nil, false
 	}
-	h := &Hit{plan: p, nodes: make([][]*ir.Node, len(p.keys))}
+	h := &Hit{plan: p, entries: make([]entry, len(p.keys))}
 	m.mu.Lock()
 	for i, key := range p.keys {
 		e, ok := m.entries.Get(key)
@@ -335,36 +406,46 @@ func (m *Memo) Lookup(p *Plan) (*Hit, bool) {
 			m.misses.Add(uint64(len(p.keys)))
 			return nil, false
 		}
-		if !e.identical {
-			h.nodes[i] = e.nodes
-		}
+		h.entries[i] = e
 	}
 	m.mu.Unlock()
 	m.hits.Add(uint64(len(p.keys)))
 	return h, true
 }
 
-// Splice replaces every changed function span of u with clones of the
-// memoized optimized nodes and re-analyzes the unit. u must be the
-// unit the plan was computed from, unedited since. The clones' source
-// lines are rebased onto u's entry label, as a cold run of u would
-// report them. It returns the number of spans spliced; zero means the
-// unit was already at the pipeline's fixpoint and was not touched at
-// all.
+// Splice replaces every changed function span of u with nodes parsed
+// from the memoized text and re-analyzes the unit. u must be the unit
+// the plan was computed from, unedited since. The nodes' source lines
+// are rebased onto u's entry label, as a cold run of u would report
+// them. It returns the number of spans spliced; zero means the unit
+// was already at the pipeline's fixpoint and was not touched at all.
+// Every entry is parsed before u is edited: if one does not parse back
+// into its stored node count, u is left untouched, the lookup's hits
+// are recounted as misses, and the error matches ErrBadEntry.
 func (h *Hit) Splice(u *ir.Unit) (int, error) {
-	for i, nodes := range h.nodes {
+	spans := make([][]*ir.Node, len(h.entries))
+	for i, e := range h.entries {
+		if e.text == "" {
+			continue
+		}
+		f := h.plan.fns[i]
+		nodes, err := e.parse(f.EntryLabel().Line)
+		if err != nil {
+			m, n := h.plan.memo, uint64(len(h.entries))
+			m.hits.Add(^(n - 1)) // subtract n
+			m.misses.Add(n)
+			return 0, fmt.Errorf("%w: function %s: %v", ErrBadEntry, f.Name, err)
+		}
+		spans[i] = nodes
+	}
+	for i, nodes := range spans {
 		if nodes == nil {
 			continue
 		}
 		f := h.plan.fns[i]
 		start, end := f.EntryLabel(), f.End()
-		base := start.Line
 		for _, n := range nodes {
-			c := n.Clone()
-			if c.Line != 0 {
-				c.Line += base - 1
-			}
-			u.List.InsertBefore(c, start)
+			u.List.InsertBefore(n, start)
 		}
 		for n := start; n != nil; {
 			next := n.Next()
@@ -391,9 +472,9 @@ func (h *Hit) Spliced() int { return h.spliced }
 // keys. It re-walks the unit, validating that every function boundary
 // survived the run and that the interstitial content is untouched; on
 // any drift nothing is stored and Fill reports false. Spans that the
-// run left byte-identical are stored without nodes — splicing them is
-// free. Stored nodes are clones with relative lines and entry-owned
-// strings.
+// run left byte-identical are stored without text — splicing them is
+// free. A changed span is stored as the text its fingerprint was
+// computed from, with relative lines and provenance per node.
 func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 	if p == nil {
 		return false
@@ -401,8 +482,9 @@ func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 	fns := p.fns
 	inter := sha256.New()
 	var span hash.Hash
-	var spanNodes []*ir.Node
-	var buf []byte
+	var buf, text []byte
+	var meta []nodeMeta
+	var provs []ir.Provenance
 	base := 0
 	entries := make([]entry, 0, len(fns))
 	fi := 0
@@ -410,7 +492,7 @@ func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 		if span == nil && fi < len(fns) && n == fns[fi].EntryLabel() {
 			span = sha256.New()
 			buf = writeField(span, buf, fns[fi].SectionName)
-			spanNodes = spanNodes[:0]
+			text, meta, provs = text[:0], meta[:0], provs[:0]
 			base = n.Line
 		}
 		if span != nil {
@@ -419,24 +501,25 @@ func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 				m.unmemoizable.Add(1)
 				return false
 			}
-			_, buf = nodeField(buf, n, rel)
+			var line []byte
+			line, buf = nodeField(buf, n, rel)
 			span.Write(buf)
-			spanNodes = append(spanNodes, n)
+			text = append(append(text, line[8:]...), '\n')
+			md := nodeMeta{line: int32(rel)}
+			md.prov, provs = provIndex(provs, n.Prov)
+			meta = append(meta, md)
 		} else {
-			var text []byte
-			text, buf = nodeField(buf, n, 0)
-			inter.Write(text)
+			var line []byte
+			line, buf = nodeField(buf, n, 0)
+			inter.Write(line)
 		}
 		if span != nil && n == fns[fi].End() {
-			e := entry{identical: hex.EncodeToString(span.Sum(nil)) == p.spanFPs[fi]}
-			if !e.identical {
-				e.nodes = make([]*ir.Node, len(spanNodes))
-				for j, n := range spanNodes {
-					c := n.Clone()
-					c.Line, _ = relLine(n.Line, base)
-					e.nodes[j] = c
+			var e entry
+			if hex.EncodeToString(span.Sum(nil)) != p.spanFPs[fi] {
+				e = entry{text: string(text), nodes: slices.Clone(meta)}
+				if len(provs) > 0 {
+					e.provs = slices.Clone(provs)
 				}
-				ownStrings(e.nodes)
 			}
 			entries = append(entries, e)
 			span = nil
@@ -456,47 +539,4 @@ func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
 		m.evictions.Add(uint64(evicted))
 	}
 	return true
-}
-
-// ownStrings re-points every string of the (cloned, unshared) nodes
-// at one freshly allocated string holding them all, so the nodes keep
-// no other string — in particular no request's source text — alive.
-func ownStrings(nodes []*ir.Node) {
-	size := 0
-	for _, n := range nodes {
-		eachString(n, func(s *string) { size += len(*s) })
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, n := range nodes {
-		eachString(n, func(s *string) { b.WriteString(*s) })
-	}
-	all, off := b.String(), 0
-	for _, n := range nodes {
-		eachString(n, func(s *string) {
-			if k := len(*s); k > 0 {
-				*s = all[off : off+k]
-				off += k
-			}
-		})
-	}
-}
-
-// eachString calls f with every string field of n that may share
-// storage with the text n was parsed from.
-func eachString(n *ir.Node, f func(*string)) {
-	f(&n.Label)
-	f(&n.Section)
-	if n.Dir != nil {
-		f(&n.Dir.Name)
-		for i := range n.Dir.Args {
-			f(&n.Dir.Args[i])
-		}
-	}
-	if n.Inst != nil {
-		for i := range n.Inst.Args {
-			f(&n.Inst.Args[i].Sym)
-			f(&n.Inst.Args[i].Mem.Sym)
-		}
-	}
 }

@@ -12,6 +12,7 @@ package pass
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -648,12 +649,17 @@ func (m *Manager) RunContext(runCtx context.Context, u *ir.Unit) (*Stats, error)
 	if plan != nil {
 		if hit, ok := m.Memo.Lookup(plan); ok {
 			spliced, err := hit.Splice(u)
-			if err != nil {
+			switch {
+			case errors.Is(err, memo.ErrBadEntry):
+				// The unit is untouched: run cold, and the fill below
+				// replaces the entry.
+			case err != nil:
 				return stats, fmt.Errorf("memo: splice: %w", err)
+			default:
+				stats.Add("MEMO", "functions", plan.Functions())
+				stats.Add("MEMO", "spliced", spliced)
+				memoHit = true
 			}
-			stats.Add("MEMO", "functions", plan.Functions())
-			stats.Add("MEMO", "spliced", spliced)
-			memoHit = true
 		}
 	}
 

@@ -94,7 +94,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter) {
 
 	var reqPairs, errPairs, healthPairs []string
 	for _, name := range m.order {
-		label := fmt.Sprintf(`{shard=%q}`, name)
+		label := "{shard=" + scope.PromQuote(name) + "}"
 		reqPairs = append(reqPairs, label, strconv.FormatInt(m.shards[name].requests.Load(), 10))
 		errPairs = append(errPairs, label, strconv.FormatInt(m.shards[name].errors.Load(), 10))
 	}
@@ -103,7 +103,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter) {
 		if b.isHealthy() {
 			h = "1"
 		}
-		healthPairs = append(healthPairs, fmt.Sprintf(`{shard=%q}`, b.name), h)
+		healthPairs = append(healthPairs, "{shard="+scope.PromQuote(b.name)+"}", h)
 	}
 	writeMetric("Responses relayed, by shard.", "counter",
 		"maorouter_requests_total", reqPairs...)
@@ -117,17 +117,18 @@ func (r *Router) handleMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "# TYPE maorouter_request_duration_seconds histogram\n")
 	for _, name := range m.order {
 		h := &m.shards[name].latency
+		shard := scope.PromQuote(name)
 		cum := int64(0)
 		for i, ub := range h.buckets {
 			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "maorouter_request_duration_seconds_bucket{shard=%q,le=\"%s\"} %d\n",
-				name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
+			fmt.Fprintf(w, "maorouter_request_duration_seconds_bucket{shard=%s,le=\"%s\"} %d\n",
+				shard, strconv.FormatFloat(ub, 'g', -1, 64), cum)
 		}
 		n := h.count.Load()
-		fmt.Fprintf(w, "maorouter_request_duration_seconds_bucket{shard=%q,le=\"+Inf\"} %d\n", name, n)
-		fmt.Fprintf(w, "maorouter_request_duration_seconds_sum{shard=%q} %g\n",
-			name, math.Float64frombits(h.sumBits.Load()))
-		fmt.Fprintf(w, "maorouter_request_duration_seconds_count{shard=%q} %d\n", name, n)
+		fmt.Fprintf(w, "maorouter_request_duration_seconds_bucket{shard=%s,le=\"+Inf\"} %d\n", shard, n)
+		fmt.Fprintf(w, "maorouter_request_duration_seconds_sum{shard=%s} %g\n",
+			shard, math.Float64frombits(h.sumBits.Load()))
+		fmt.Fprintf(w, "maorouter_request_duration_seconds_count{shard=%s} %d\n", shard, n)
 	}
 
 	writeMetric("Forwards retried on a failover shard.", "counter",

@@ -19,8 +19,22 @@ import (
 //
 //	name{label="value",...} 1.23
 //
-// with no escaping beyond \" and \\ inside label values (the
-// exporters quote with %q).
+// with label values escaped exactly as the text format defines: \\,
+// \" and \n, and no other escape (the exporters quote every string
+// label value with PromQuote).
+
+// promEscaper escapes the three characters the text format requires
+// escaped inside a label value.
+var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// PromQuote renders v as a quoted label value of the Prometheus text
+// format. Backslash, double quote and line feed are escaped, invalid
+// UTF-8 becomes U+FFFD, and every other character stands for itself,
+// so any string — a client ID from a request header included — yields
+// one well-formed value, and ParseProm returns valid UTF-8 unchanged.
+func PromQuote(v string) string {
+	return `"` + promEscaper.Replace(strings.ToValidUTF8(v, "\uFFFD")) + `"`
+}
 
 // Sample is one exposition line: a metric name, its label set, and
 // the value.
@@ -97,7 +111,7 @@ func parsePromLabels(s string) (map[string]string, error) {
 			return nil, fmt.Errorf("malformed label in %q", s)
 		}
 		key := s[:eq]
-		// Scan the quoted value honoring \" and \\.
+		// Scan the quoted value decoding \\, \" and \n.
 		var val strings.Builder
 		i := eq + 2
 		for {
@@ -106,7 +120,14 @@ func parsePromLabels(s string) (map[string]string, error) {
 			}
 			c := s[i]
 			if c == '\\' && i+1 < len(s) {
-				val.WriteByte(s[i+1])
+				switch e := s[i+1]; e {
+				case '\\', '"':
+					val.WriteByte(e)
+				case 'n':
+					val.WriteByte('\n')
+				default:
+					return nil, fmt.Errorf("invalid escape \\%c in label value for %q", e, key)
+				}
 				i += 2
 				continue
 			}

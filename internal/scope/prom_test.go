@@ -60,12 +60,14 @@ func TestParseProm(t *testing.T) {
 
 func TestParsePromRejectsGarbage(t *testing.T) {
 	bad := []string{
-		"metric_name\n",       // no value
-		"metric 1 2 3\n",      // too many fields
-		`m{le="0.1} 1` + "\n", // unterminated quote
-		"m{le=0.1} 1\n",       // unquoted label
-		"m notanumber\n",      // bad value
-		`{le="0.1"} 1` + "\n", // missing name
+		"metric_name\n",        // no value
+		"metric 1 2 3\n",       // too many fields
+		`m{le="0.1} 1` + "\n",  // unterminated quote
+		"m{le=0.1} 1\n",        // unquoted label
+		"m notanumber\n",       // bad value
+		`{le="0.1"} 1` + "\n",  // missing name
+		`m{a="x\ty"} 1` + "\n", // an escape the text format does not define
+		`m{a="x\u00a0"} 1` + "\n",
 	}
 	for _, page := range bad {
 		if _, err := ParseProm(strings.NewReader(page)); err == nil {

@@ -173,7 +173,7 @@ type Span struct {
 	NodesAfter  int  `json:"nodes_after,omitempty"`
 	Changed     bool `json:"changed,omitempty"`
 	// Stats is the span's counter delta (invocation spans) or
-	// span-specific accounting (batch size under "jobs").
+	// span-specific accounting (decode sizes, for example).
 	Stats map[string]int `json:"stats,omitempty"`
 	// Attrs carries hop attribution: shard choice, probe state,
 	// attempt number, failover reason.

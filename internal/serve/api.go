@@ -102,9 +102,6 @@ type OptimizeResponse struct {
 	// Cached reports that the response was served from the result
 	// cache without running a pipeline.
 	Cached bool `json:"cached"`
-	// BatchSize is how many same-spec requests shared this request's
-	// batch (1 = alone; 0 on cached responses).
-	BatchSize int `json:"batch_size,omitempty"`
 	// Lineage is the per-instruction provenance of the optimized unit,
 	// present when options.explain (or ?explain=1) was set.
 	Lineage []trace.InstLineage `json:"lineage,omitempty"`
@@ -195,7 +192,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		if resp, ok := s.results.get(key); ok {
 			cached := *resp
 			cached.Cached = true
-			cached.BatchSize = 0
 			w.Header().Set(cacheHeader, "hit")
 			if fi != nil {
 				fi.cache = "hit"
@@ -341,7 +337,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Optimiz
 // parameters (name, spec, base, check, explain, verify, no_cache,
 // deadline_ms). The blob is decoded and lifted immediately; the
 // resulting assembly becomes the request Source, so binary requests
-// share the JSON path's pipeline, batching and result cache — two
+// share the JSON path's pipeline, queue and result cache — two
 // blobs that decode to the same unit under the same spec share a
 // cache entry.
 func (s *Server) decodeBinaryRequest(w http.ResponseWriter, r *http.Request) (*OptimizeRequest, int, error) {

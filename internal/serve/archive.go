@@ -39,11 +39,10 @@ import (
 // The response is NDJSON (application/x-ndjson): one ArchiveRecord
 // per unit in COMPLETION order (the index field maps a record back to
 // its archive position), flushed as written, followed by exactly one
-// ArchiveTrailer. Units flow through the same queue → batcher → worker
-// pipeline as single requests — same admission, same batching, same
-// result cache (archive units and single requests share entries) —
-// with a bounded in-flight window so one archive cannot monopolize the
-// global queue.
+// ArchiveTrailer. Units flow through the same queue → worker pipeline
+// as single requests — same admission, same result cache (archive
+// units and single requests share entries) — with a bounded in-flight
+// window so one archive cannot monopolize the global queue.
 
 // archiveMagic opens every entry header line.
 const archiveMagic = "maoar1"
@@ -370,9 +369,7 @@ func (s *Server) admitArchiveJob(ctx context.Context, j *job) bool {
 }
 
 // recordFor projects a completed response onto the NDJSON record
-// schema. BatchSize is deliberately absent: it depends on arrival
-// timing, and archive records are byte-compared across fleet
-// topologies by the differential suite.
+// schema.
 func recordFor(index int, name string, resp *OptimizeResponse, cached bool) ArchiveRecord {
 	verdict := "miss"
 	if cached {

@@ -177,7 +177,7 @@ func TestArchiveBadUnitIsPerUnit(t *testing.T) {
 // or executing — the client of a build-tree archive gets early
 // results, not a buffered dump after the last unit.
 func TestArchiveStreamsIncrementally(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, BatchMax: 1, BatchWindow: time.Millisecond})
+	s, ts := testServer(t, Config{Workers: 1})
 	units := []archiveUnit{
 		{name: "u0.s", source: testSource},
 		{name: "u1.s", source: testSource},
@@ -218,7 +218,7 @@ func TestArchiveStreamsIncrementally(t *testing.T) {
 // cancellation cleans up: the remaining units abort via the shared
 // RunContext plumbing and the pipeline drains to idle.
 func TestArchiveCancellationAbortsRemaining(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, BatchMax: 1, BatchWindow: time.Millisecond})
+	s, ts := testServer(t, Config{Workers: 1})
 	var units []archiveUnit
 	for i := 0; i < 6; i++ {
 		units = append(units, archiveUnit{name: fmt.Sprintf("u%d.s", i), source: testSource})
@@ -249,9 +249,7 @@ func TestArchiveCancellationAbortsRemaining(t *testing.T) {
 // units finish, aborts the rest with per-unit records, terminates the
 // stream with a trailer — and never deadlocks.
 func TestArchiveDrainFinishesStream(t *testing.T) {
-	s, ts := testServer(t, Config{
-		Workers: 1, QueueDepth: 2, BatchMax: 1, BatchWindow: time.Millisecond,
-	})
+	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 2})
 	var units []archiveUnit
 	for i := 0; i < 8; i++ {
 		units = append(units, archiveUnit{name: fmt.Sprintf("u%d.s", i), source: testSource})

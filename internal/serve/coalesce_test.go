@@ -84,7 +84,7 @@ func TestCoalesceSharesOneRun(t *testing.T) {
 	if misses != 1 || coalesced != followers {
 		t.Errorf("verdicts: %d miss / %d coalesced, want 1/%d", misses, coalesced, followers)
 	}
-	if got := s.met.batchJobsTotal.Load(); got != 1 {
+	if got := s.met.jobsPickedUp.Load(); got != 1 {
 		t.Errorf("pipeline executed %d jobs, want 1 (coalescing failed to share the run)", got)
 	}
 	if got := s.met.coalescedTotal.Load(); got != followers {
@@ -128,7 +128,7 @@ func TestCoalesceBypassesTraceAndNoCache(t *testing.T) {
 				}
 			}
 			wg.Wait()
-			if got := s.met.batchJobsTotal.Load(); got != 2 {
+			if got := s.met.jobsPickedUp.Load(); got != 2 {
 				t.Errorf("pipeline executed %d jobs, want 2 (one per request)", got)
 			}
 			if got := s.met.coalescedTotal.Load(); got != 0 {

@@ -39,9 +39,12 @@ type metrics struct {
 	verifyLatency     histogram
 	verifyRefutations atomic.Int64
 
-	queueRejects   atomic.Int64
-	batchesTotal   atomic.Int64
-	batchJobsTotal atomic.Int64
+	queueRejects atomic.Int64
+	// jobsPickedUp counts admitted jobs a worker picked up. It backs
+	// both maod_batches_total and maod_batch_jobs_total, kept under
+	// their names for the dashboards and benchmarks that read them:
+	// each job is its own one-job batch.
+	jobsPickedUp atomic.Int64
 	// coalescedTotal counts requests (and archive units) that joined
 	// another request's in-flight run instead of admitting their own.
 	coalescedTotal atomic.Int64
@@ -204,17 +207,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, name := range passNames {
 		v, _ := m.passLatency.Load(name)
 		h := v.(*histogram)
+		passLabel := scope.PromQuote(name)
 		cum := int64(0)
 		for i, ub := range h.buckets {
 			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "maod_pass_duration_seconds_bucket{pass=%q,le=\"%s\"} %d\n",
-				name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
+			fmt.Fprintf(w, "maod_pass_duration_seconds_bucket{pass=%s,le=\"%s\"} %d\n",
+				passLabel, strconv.FormatFloat(ub, 'g', -1, 64), cum)
 		}
 		n := h.count.Load()
-		fmt.Fprintf(w, "maod_pass_duration_seconds_bucket{pass=%q,le=\"+Inf\"} %d\n", name, n)
-		fmt.Fprintf(w, "maod_pass_duration_seconds_sum{pass=%q} %g\n",
-			name, math.Float64frombits(h.sumBits.Load()))
-		fmt.Fprintf(w, "maod_pass_duration_seconds_count{pass=%q} %d\n", name, n)
+		fmt.Fprintf(w, "maod_pass_duration_seconds_bucket{pass=%s,le=\"+Inf\"} %d\n", passLabel, n)
+		fmt.Fprintf(w, "maod_pass_duration_seconds_sum{pass=%s} %g\n",
+			passLabel, math.Float64frombits(h.sumBits.Load()))
+		fmt.Fprintf(w, "maod_pass_duration_seconds_count{pass=%s} %d\n", passLabel, n)
 	}
 
 	// Translation-validation latency (requests with options.verify;
@@ -242,10 +246,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"maod_inflight", "", strconv.FormatInt(s.inflight.Load(), 10))
 	writeMetric("Requests rejected by admission control (429).", "counter",
 		"maod_queue_rejects_total", "", strconv.FormatInt(m.queueRejects.Load(), 10))
-	writeMetric("Batches dispatched to the worker pool.", "counter",
-		"maod_batches_total", "", strconv.FormatInt(m.batchesTotal.Load(), 10))
-	writeMetric("Jobs carried by dispatched batches (sum; divide by maod_batches_total for the mean batch size).", "counter",
-		"maod_batch_jobs_total", "", strconv.FormatInt(m.batchJobsTotal.Load(), 10))
+	picked := strconv.FormatInt(m.jobsPickedUp.Load(), 10)
+	writeMetric("Jobs picked up by a worker (each job runs as its own batch; equals maod_batch_jobs_total).", "counter",
+		"maod_batches_total", "", picked)
+	writeMetric("Jobs picked up by a worker.", "counter",
+		"maod_batch_jobs_total", "", picked)
 
 	// Result cache.
 	writeMetric("Result-cache lookups served from cache.", "counter",
@@ -301,7 +306,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sort.Strings(keys)
 		for _, k := range keys {
 			passPairs = append(passPairs,
-				fmt.Sprintf(`{pass="%s",key="%s"}`, p, k),
+				fmt.Sprintf(`{pass=%s,key=%s}`, scope.PromQuote(p), scope.PromQuote(k)),
 				strconv.Itoa(passMap[p][k]))
 		}
 	}
@@ -318,7 +323,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sort.Strings(ids)
 		var grantPairs, rejectPairs []string
 		for _, id := range ids {
-			label := fmt.Sprintf(`{client=%q}`, id)
+			label := "{client=" + scope.PromQuote(id) + "}"
 			grantPairs = append(grantPairs, label, strconv.FormatInt(perClient[id][0], 10))
 			rejectPairs = append(rejectPairs, label, strconv.FormatInt(perClient[id][1], 10))
 		}

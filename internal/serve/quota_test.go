@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mao/internal/scope"
 )
 
 // postAs sends one optimize request labeled with a client ID and
@@ -167,6 +169,45 @@ func TestQuotaDisabledIsFree(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if code, _ := postAs(t, ts.URL, "hammer", req); code != 200 {
 			t.Fatalf("request %d: status = %d with quotas disabled", i, code)
+		}
+	}
+}
+
+// TestQuotaClientLabelsRoundTrip: client IDs from X-Mao-Client reach
+// /metrics as label values any text-format parser reads back — a tab,
+// a non-ASCII character and invalid UTF-8 (which becomes U+FFFD) stay
+// distinct tenants, none colliding with the client named "atb".
+func TestQuotaClientLabelsRoundTrip(t *testing.T) {
+	_, ts := testServer(t, Config{QuotaRate: 1000, QuotaBurst: 16})
+	req := &OptimizeRequest{Source: testSource, Spec: "REDTEST"}
+	want := map[string]string{ // sent → read back
+		"a\tb":         "a\tb",
+		"x\xffy":       "x\uFFFDy",
+		"nbsp\u00a0z":  "nbsp\u00a0z",
+		"atb":          "atb",
+		`q"uote\slash`: `q"uote\slash`,
+	}
+	for id := range want {
+		if code, _ := postAs(t, ts.URL, id, req); code != 200 {
+			t.Fatalf("client %q: status %d", id, code)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	m, err := scope.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	got := map[string]float64{}
+	for _, s := range m["maod_quota_granted_total"] {
+		got[s.Labels["client"]] += s.Value
+	}
+	for id, label := range want {
+		if got[label] != 1 {
+			t.Errorf("client %q: granted[%q] = %v, want 1 (all labels: %v)", id, label, got[label], got)
 		}
 	}
 }

@@ -16,16 +16,11 @@
 //     into pass.Manager — a request canceled or timed out while queued
 //     never occupies a worker, and one mid-pipeline aborts between
 //     passes/functions.
-//   - Batching: requests with the same pass spec arriving within a
-//     short window are grouped, so one dispatch (and one spec
-//     validation) serves the whole group and the shared encoding cache
-//     stays hot across the batch. Output is per-request and identical
-//     to unbatched execution.
 //   - A content-addressed result cache keyed on (source hash, spec,
 //     options) with LRU eviction: re-optimizing an unchanged unit with
 //     an unchanged pipeline is a cache hit and touches no worker.
 //   - An observability plane: /metrics in Prometheus text format
-//     (request counts, latency histogram, queue depth, batch sizes,
+//     (request counts, latency histogram, queue depth and wait,
 //     result-cache and RELAXCACHE hit rates, aggregated pass
 //     counters), /healthz, /readyz, and structured JSON access logs.
 //   - Graceful drain: Close stops admission, finishes every admitted
@@ -64,17 +59,11 @@ import (
 // defaults (see withDefaults).
 type Config struct {
 	// Workers is the number of pipeline worker goroutines (0 =
-	// GOMAXPROCS). Each worker executes one batch at a time.
+	// GOMAXPROCS). Each worker executes one request at a time.
 	Workers int
 	// QueueDepth caps the number of admitted-but-unstarted requests;
 	// beyond it POST /v1/optimize answers 429 + Retry-After (0 = 64).
 	QueueDepth int
-	// BatchWindow is how long the first request of a spec waits for
-	// same-spec companions before its batch dispatches (0 = 2ms).
-	BatchWindow time.Duration
-	// BatchMax caps a batch's size; a full batch dispatches
-	// immediately (0 = 16).
-	BatchMax int
 	// ResultCacheEntries caps the content-addressed result cache
 	// (0 = 512, negative disables the cache).
 	ResultCacheEntries int
@@ -119,12 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
 	if c.ResultCacheEntries == 0 {
 		c.ResultCacheEntries = 512
 	}
@@ -149,8 +132,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted optimization request on its way through the
-// queue → batcher → worker pipeline.
+// job is one admitted optimization request on its way from the
+// admission queue to a worker.
 type job struct {
 	req  *OptimizeRequest
 	key  string // content address
@@ -189,9 +172,7 @@ type Server struct {
 	quota      *quotas         // nil when Config.QuotaRate == 0
 	flight     *scope.Recorder // nil when Config.FlightRecords < 0
 
-	queue   chan *job
-	batches chan *batch
-	grouper *batcher
+	queue chan *job
 
 	queued   atomic.Int64 // admitted, not yet picked up by a worker
 	inflight atomic.Int64 // being executed by a worker
@@ -199,34 +180,29 @@ type Server struct {
 	admitMu   sync.RWMutex
 	accepting bool
 
-	draining     atomic.Bool
-	dispatchDone chan struct{}
-	workerWG     sync.WaitGroup
-	closeOnce    sync.Once
-	started      time.Time
+	draining  atomic.Bool
+	workerWG  sync.WaitGroup
+	closeOnce sync.Once
+	started   time.Time
 }
 
-// New builds a Server and starts its dispatcher and worker pool.
+// New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:          cfg,
-		relaxCache:   relax.NewCache(),
-		results:      newResultCache(cfg.ResultCacheEntries),
-		met:          newMetrics(),
-		quota:        newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
-		flight:       newFlightRecorder(cfg.FlightRecords),
-		queue:        make(chan *job, cfg.QueueDepth),
-		batches:      make(chan *batch, cfg.QueueDepth),
-		accepting:    true,
-		dispatchDone: make(chan struct{}),
-		started:      time.Now(),
+		cfg:        cfg,
+		relaxCache: relax.NewCache(),
+		results:    newResultCache(cfg.ResultCacheEntries),
+		met:        newMetrics(),
+		quota:      newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
+		flight:     newFlightRecorder(cfg.FlightRecords),
+		queue:      make(chan *job, cfg.QueueDepth),
+		accepting:  true,
+		started:    time.Now(),
 	}
 	// Salted exactly like mao.NewMemo: entries never outlive the pass
 	// catalog or validator semantics they were filled under.
 	s.memo = memo.New(0, pass.CatalogVersion(), check.Version, verify.Version)
-	s.grouper = newBatcher(cfg.BatchWindow, cfg.BatchMax, s.batches)
-	go s.dispatch()
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -242,13 +218,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) QueueDepth() int64 { return s.queued.Load() }
 
 // Close drains the server: admission stops (new optimize requests get
-// 503, readyz flips), every batch still waiting out its window is
-// flushed, every already-admitted request is executed to completion,
-// and the worker pool exits. It is safe to call more than once.
-// When fronted by an http.Server, call Close first and Shutdown
-// second: Close unblocks the waiting handlers (no admitted job sits
-// out its batch timer), and Shutdown then only waits for response
-// writes — cmd/maod does exactly that.
+// 503, readyz flips), every already-admitted request is executed to
+// completion, and the worker pool exits. It is safe to call more than
+// once. When fronted by an http.Server, call Close first and Shutdown
+// second: Close unblocks the waiting handlers, and Shutdown then only
+// waits for response writes — cmd/maod does exactly that.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
@@ -256,7 +230,6 @@ func (s *Server) Close() {
 		s.accepting = false
 		s.admitMu.Unlock()
 		close(s.queue)
-		<-s.dispatchDone
 		s.workerWG.Wait()
 	})
 }
@@ -280,58 +253,35 @@ func (s *Server) admit(j *job) (ok bool, retryAfter int) {
 			break
 		}
 	}
-	// queued ≥ channel occupancy always (the dispatcher drains the
-	// channel before a worker decrements), so this send cannot block.
+	// queued ≥ channel occupancy always (a worker decrements only
+	// after it has received), so this send cannot block.
 	s.queue <- j
 	return true, 0
 }
 
-// dispatch moves admitted jobs into per-spec batches. It owns the
-// batches channel: when the queue closes (drain), it flushes every
-// pending batch and then closes batches so the workers exit.
-func (s *Server) dispatch() {
-	defer close(s.dispatchDone)
-	for j := range s.queue {
-		s.grouper.add(j)
-	}
-	s.grouper.closeFlush()
-	close(s.batches)
-}
-
-// worker executes batches until the batches channel closes. Each
-// worker owns one relaxation state for its lifetime — a relax.State is
+// worker executes admitted jobs until the queue closes. Each worker
+// owns one relaxation state for its lifetime — a relax.State is
 // single-goroutine, and per-worker ownership lets back-to-back jobs
 // over similar units reuse fragment partitions without locking.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	st := relax.NewState()
-	for bt := range s.batches {
-		s.runBatch(bt, st)
-	}
-}
-
-// runBatch executes every job of one same-spec batch. The spec was
-// validated at admission; it is parsed once here, and the shared
-// relaxation cache carries encodings across the batch. Pass instances
-// are deliberately created fresh per unit (via pass.NewManager):
-// passes like SIMADDR accumulate per-run instance state, so sharing
-// instances across units would cross-contaminate results.
-func (s *Server) runBatch(bt *batch, st *relax.State) {
-	n := int64(len(bt.jobs))
-	s.queued.Add(-n)
-	s.inflight.Add(n) // each job leaves as runJob posts its result
-	s.met.batchesTotal.Add(1)
-	s.met.batchJobsTotal.Add(n)
-	for _, j := range bt.jobs {
-		s.runJob(j, len(bt.jobs), st)
+	for j := range s.queue {
+		s.queued.Add(-1)
+		s.inflight.Add(1) // the job leaves as runJob posts its result
+		s.met.jobsPickedUp.Add(1)
+		s.runJob(j, st)
 	}
 }
 
 // runJob executes one request end to end and posts the result. The
 // execution path mirrors cmd/mao exactly — parse, pass.Manager with
 // the shared cache, Analyze, emit — so responses are byte-identical
-// to the CLI.
-func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
+// to the CLI. Pass instances are created fresh per unit (via
+// pass.NewManager): passes like SIMADDR accumulate per-run instance
+// state, so sharing instances across units would cross-contaminate
+// results.
+func (s *Server) runJob(j *job, st *relax.State) {
 	if err := j.ctx.Err(); err != nil {
 		s.post(j, jobResult{status: statusForCtx(err), err: err})
 		return
@@ -349,15 +299,12 @@ func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 	}
 	// The daemon-side span tree roots at the queue span: admitted →
 	// picked up, then the batch span covers this request's execution
-	// slot, and the pipeline root (added by pass.Manager) is re-parented
-	// under it after the run.
+	// slot on its worker, and the pipeline root (added by pass.Manager)
+	// is re-parented under it after the run.
 	wait := col.Now() - j.admitted
 	s.met.queueWait.observe(wait.Seconds())
 	queueIdx := col.Add(trace.Span{Kind: trace.KindQueue, Start: j.admitted, Dur: wait, Parent: -1})
-	batchIdx := col.Add(trace.Span{
-		Kind: trace.KindBatch, Start: col.Now(), Parent: queueIdx,
-		Stats: map[string]int{"jobs": batchSize},
-	})
+	batchIdx := col.Add(trace.Span{Kind: trace.KindBatch, Start: col.Now(), Parent: queueIdx})
 	finish := func(res jobResult) {
 		col.Update(batchIdx, func(sp *trace.Span) { sp.Dur = col.Now() - sp.Start })
 		res.spans = col.Spans()
@@ -411,11 +358,7 @@ func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 		finish(jobResult{status: 422, err: err})
 		return
 	}
-	resp := &OptimizeResponse{
-		Assembly:  u.String(),
-		Stats:     stats.Map(),
-		BatchSize: batchSize,
-	}
+	resp := &OptimizeResponse{Assembly: u.String(), Stats: stats.Map()}
 	if j.req.Options.Explain {
 		resp.Lineage = trace.Lineage(u)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -112,9 +111,6 @@ func TestOptimizeBasic(t *testing.T) {
 	}
 	if out.Cached {
 		t.Error("first request reported cached")
-	}
-	if out.BatchSize < 1 {
-		t.Errorf("batch size = %d", out.BatchSize)
 	}
 }
 
@@ -251,9 +247,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	s, ts := testServer(t, Config{
-		Workers: 1, QueueDepth: 1, BatchMax: 1, BatchWindow: time.Millisecond,
-	})
+	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 1})
 	type result struct {
 		code int
 	}
@@ -313,9 +307,7 @@ func TestRequestDeadline(t *testing.T) {
 }
 
 func TestDeadlineWhileQueuedSkipsExecution(t *testing.T) {
-	s, ts := testServer(t, Config{
-		Workers: 1, QueueDepth: 4, BatchMax: 1, BatchWindow: time.Millisecond,
-	})
+	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 4})
 	done := make(chan int, 1)
 	go func() {
 		code, _, _ := postOptimize(t, ts.URL, &OptimizeRequest{
@@ -412,9 +404,7 @@ func (b *syncBuffer) String() string {
 }
 
 func TestDrainCompletesInFlight(t *testing.T) {
-	s, ts := testServer(t, Config{
-		Workers: 1, QueueDepth: 8, BatchMax: 1, BatchWindow: time.Millisecond,
-	})
+	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 8})
 	results := make(chan int, 3)
 	submit := func(name string) {
 		code, _, _ := postOptimize(t, ts.URL, &OptimizeRequest{
@@ -463,94 +453,4 @@ func TestCloseIdempotent(t *testing.T) {
 	s := New(Config{})
 	s.Close()
 	s.Close()
-}
-
-func TestBatchingGroupsSameSpec(t *testing.T) {
-	out := make(chan *batch, 8)
-	b := newBatcher(time.Hour, 3, out) // window never fires; max drives dispatch
-	mk := func(spec, name string) *job {
-		return &job{req: &OptimizeRequest{Spec: spec, Name: name}}
-	}
-	b.add(mk("A", "1"))
-	b.add(mk("B", "2"))
-	b.add(mk("A", "3"))
-	b.add(mk("A", "4")) // A reaches max=3 → dispatches
-	select {
-	case bt := <-out:
-		if bt.spec != "A" || len(bt.jobs) != 3 {
-			t.Errorf("full batch = %s/%d, want A/3", bt.spec, len(bt.jobs))
-		}
-	default:
-		t.Fatal("full batch not dispatched")
-	}
-	// closeFlush dispatches the remainder (B with 1 job, nothing else).
-	b.closeFlush()
-	close(out)
-	var rest []*batch
-	for bt := range out {
-		rest = append(rest, bt)
-	}
-	if len(rest) != 1 || rest[0].spec != "B" || len(rest[0].jobs) != 1 {
-		t.Fatalf("flushed %d batches, want exactly B/1", len(rest))
-	}
-}
-
-func TestBatchWindowDispatches(t *testing.T) {
-	out := make(chan *batch, 1)
-	b := newBatcher(5*time.Millisecond, 100, out)
-	b.add(&job{req: &OptimizeRequest{Spec: "A"}})
-	select {
-	case bt := <-out:
-		if len(bt.jobs) != 1 {
-			t.Errorf("batch size = %d", len(bt.jobs))
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("window timer never dispatched the batch")
-	}
-}
-
-func TestEndToEndBatchAmortization(t *testing.T) {
-	// A slow head-of-line job holds the only worker while same-spec
-	// followers arrive within a generous batch window, so they must
-	// dispatch as one batch.
-	s, ts := testServer(t, Config{
-		Workers: 1, QueueDepth: 16, BatchMax: 16, BatchWindow: 500 * time.Millisecond,
-	})
-	blockDone := make(chan struct{})
-	go func() {
-		postOptimize(t, ts.URL, &OptimizeRequest{
-			Source: testSource, Spec: "SLEEPTEST=ms[900]",
-		})
-		close(blockDone)
-	}()
-	waitFor(t, "blocker in flight", func() bool { return s.inflight.Load() == 1 })
-
-	const n = 4
-	codes := make(chan *OptimizeResponse, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			_, out, _ := postOptimize(t, ts.URL, &OptimizeRequest{
-				Name: fmt.Sprintf("u%d.s", i), Source: testSource, Spec: "REDTEST",
-			})
-			codes <- out
-		}(i)
-	}
-	waitFor(t, "followers queued", func() bool { return s.queued.Load() == n })
-	<-blockDone
-	sum := 0
-	for i := 0; i < n; i++ {
-		out := <-codes
-		if out == nil {
-			t.Fatal("follower failed")
-		}
-		sum += out.BatchSize
-	}
-	// All four same-spec units shared one batch: each reports batch
-	// size n, so the sum is n².
-	if sum != n*n {
-		t.Errorf("batch sizes sum = %d, want %d (one batch of %d)", sum, n*n, n)
-	}
-	if got := s.met.batchJobsTotal.Load(); got < int64(n)+1 {
-		t.Errorf("batch jobs total = %d", got)
-	}
 }

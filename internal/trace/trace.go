@@ -59,8 +59,8 @@ const (
 	// waiting for a worker (maod's queue). It is the root of the
 	// daemon-side span tree: queue → batch → pipeline.
 	KindQueue Kind = "queue"
-	// KindBatch covers a request's execution slot inside a same-spec
-	// batch; its Stats carry the batch's job count.
+	// KindBatch covers a request's execution slot on its worker, from
+	// pickup to the posted result; it parents the pipeline root.
 	KindBatch Kind = "batch"
 	// KindHop covers one router forward (maorouter → shard), stamped
 	// by the router with shard choice and failover attribution.
