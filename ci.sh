@@ -15,7 +15,10 @@
 #               differential suite at 8 workers, the pipeline memo
 #               every worker of a shard shares, the maod service, the
 #               flight group that maod and maorouter share to
-#               coalesce identical misses, the passes, whose
+#               coalesce identical misses, the request layer and
+#               flight recorder (internal/scope) every request of both
+#               servers runs through while /debug/scope readers copy
+#               records out, the passes, whose
 #               analyses read ir.Node indices inside pipeline
 #               workers, and maotop's one-shot poll of an in-process
 #               fleet, with the root package's worker-determinism
@@ -111,8 +114,8 @@ go test -race ./...
 echo "== maoledger: the benchmark's API and metric contract"
 (cd maoledger && GOFLAGS=-mod=mod go test ./...)
 
-echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + memo + service + flight group + passes + maotop"
-go test -race -count=3 ./internal/pass/ ./internal/passes/ ./internal/relax/ ./internal/memo/ ./internal/serve/ ./internal/router/ ./internal/flight/ ./cmd/maotop/
+echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + memo + service + flight group + request layer + passes + maotop"
+go test -race -count=3 ./internal/pass/ ./internal/passes/ ./internal/relax/ ./internal/memo/ ./internal/serve/ ./internal/router/ ./internal/flight/ ./internal/scope/ ./cmd/maotop/
 go test -race -count=3 -run 'TestPipelineWorkerDeterminism|TestConcurrentPipelines' .
 # The differential suite drives the pooled per-worker relax.States at 8
 # workers with tracing on; repeat it specifically under the detector.

@@ -12,11 +12,17 @@
 //	GET  /healthz              liveness
 //	GET  /readyz               readiness (503 once draining)
 //
-// Every request carries an X-Request-ID (honored inbound, generated
-// otherwise), echoed in the response, the access log, and the pipeline
-// spans behind the per-pass latency histograms on /metrics. Profiling
-// (net/http/pprof) never rides the service port: it is served only
-// from the opt-in -debug-addr listener.
+// Every request passes through the request layer maod shares with
+// maorouter (internal/scope): it keeps an inbound X-Request-ID of
+// 1–128 bytes (generating one otherwise), adopts or originates the
+// X-Mao-Trace context, identifies the client, and writes the access
+// log line, the request metrics and, for /v1/* requests, a flight
+// record from one record per request. The request ID is echoed in the
+// response and stamps the pipeline spans behind the per-pass latency
+// histograms on /metrics. Profiling (net/http/pprof) and the flight
+// recorder (the last 512 /v1/* requests, the slowest and the errored
+// ones) never ride the service port: they are served only from the
+// opt-in -debug-addr listener.
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: it stops
 // accepting connections and admissions, completes every in-flight
@@ -57,7 +63,6 @@ func main() {
 		drainWait   = flag.Duration("drain-timeout", 5*time.Minute, "how long to wait for in-flight requests on shutdown")
 		quiet       = flag.Bool("quiet", false, "suppress access logs")
 		debugAddr   = flag.String("debug-addr", "", "opt-in debug listener for net/http/pprof and /debug/scope (empty = disabled); bind it to localhost")
-		flightSize  = flag.Int("flight-records", 0, "flight-recorder ring size, 0 = default, -1 disables")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -77,12 +82,17 @@ func main() {
 		MaxArchiveUnits:    *maxUnits,
 		QuotaRate:          *quotaRate,
 		QuotaBurst:         *quotaBurst,
-		FlightRecords:      *flightSize,
 	}
 	if !*quiet {
 		cfg.AccessLog = os.Stderr
 	}
 	srv := serve.New(cfg)
+
+	// The signal handler is installed before the address is announced:
+	// a supervisor that SIGTERMs the moment it sees the announce line
+	// must hit graceful drain, not the default termination.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -110,9 +120,6 @@ func main() {
 			}
 		}()
 	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 
 	select {
 	case sig := <-sigc:

@@ -235,6 +235,46 @@ func TestDaemonGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestDaemonSignalOnAnnounce: a supervisor may SIGTERM the daemon the
+// moment it announces its address. The handler is installed by then,
+// so each such signal drains (exit 0, "drained, exiting") instead of
+// hitting the default termination. Ten boots, one at a time.
+func TestDaemonSignalOnAnnounce(t *testing.T) {
+	bin := buildMaod(t)
+	for i := 0; i < 10; i++ {
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-quiet")
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		watchdog := time.AfterFunc(20*time.Second, func() { cmd.Process.Kill() })
+		sc := bufio.NewScanner(stderr)
+		if !sc.Scan() || !strings.Contains(sc.Text(), "listening on ") {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("boot %d: no announce line (%q)", i, sc.Text())
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		var rest strings.Builder
+		for sc.Scan() {
+			rest.WriteString(sc.Text() + "\n")
+		}
+		err = cmd.Wait()
+		watchdog.Stop()
+		if err != nil {
+			t.Fatalf("boot %d: exit after SIGTERM on announce: %v\n%s", i, err, rest.String())
+		}
+		if !strings.Contains(rest.String(), "drained, exiting") {
+			t.Fatalf("boot %d: drain not logged:\n%s", i, rest.String())
+		}
+	}
+}
+
 func TestDaemonRejectsArgs(t *testing.T) {
 	bin := buildMaod(t)
 	out, err := exec.Command(bin, "positional").CombinedOutput()

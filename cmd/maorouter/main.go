@@ -30,10 +30,14 @@
 // receives it re-parented under the router's hop span, and a traced
 // /v1/optimize response comes back with the hop span — shard choice,
 // attempt count, failover attribution — spliced into the span tree.
-// A JSON access log line per request (shard, cache verdict, trace ID)
-// goes to stderr unless -quiet; the flight recorder of recent,
-// slowest, and errored requests is served from the opt-in -debug-addr
-// listener under /debug/scope/.
+// Proxied requests pass through the request layer maod uses too
+// (internal/scope), so request IDs, trace contexts and client
+// identities follow maod's rules: a JSON access log line per proxied
+// request (shard, cache verdict, trace ID, retries) goes to stderr
+// unless -quiet, and the flight recorder of the last 512 /v1/*
+// requests, the slowest and the errored ones is served from the
+// opt-in -debug-addr listener under /debug/scope/. The router's own
+// /healthz and /metrics are neither logged nor recorded.
 //
 // On SIGTERM or SIGINT the router stops accepting connections, lets
 // in-flight proxied requests (including NDJSON archive streams)
@@ -70,7 +74,6 @@ func main() {
 		drainWait     = flag.Duration("drain-timeout", 5*time.Minute, "how long to wait for in-flight requests on shutdown")
 		quiet         = flag.Bool("quiet", false, "suppress the JSON access log")
 		debugAddr     = flag.String("debug-addr", "", "opt-in debug listener for net/http/pprof and /debug/scope (empty = disabled); bind it to localhost")
-		flightSize    = flag.Int("flight-records", 0, "flight-recorder ring size, 0 = default, -1 disables")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 || *shards == "" {
@@ -91,7 +94,6 @@ func main() {
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
 		MaxBodyBytes:  *maxBody,
-		FlightRecords: *flightSize,
 		Logf:          log.Printf,
 	}
 	if !*quiet {

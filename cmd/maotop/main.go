@@ -338,10 +338,7 @@ func fetchFlight(client *http.Client, base, viewName string) []flightEntry {
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	var payload struct {
-		Process string               `json:"process"`
-		Records []scope.FlightRecord `json:"records"`
-	}
+	var payload scope.FlightView
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		return nil
 	}

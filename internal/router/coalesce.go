@@ -11,7 +11,7 @@ package router
 // nothing. Both tiers share internal/flight; only the result type
 // differs.
 //
-// Identity is the routing key (routeKey): for JSON optimize requests
+// Identity is the routing key (route): for JSON optimize requests
 // that is the daemon's own content-addressed result-cache key, so two
 // requests coalesce exactly when the daemon would give them the same
 // cache entry. Requests that opt out of caching (no_cache) or request
@@ -29,12 +29,11 @@ package router
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"mao/internal/flight"
@@ -63,34 +62,8 @@ type proxyResult struct {
 	// carries them.
 	failoverFrom, failoverReason string
 	// errMsg is non-empty for router-level failures (no shard
-	// reachable); it feeds the access log and flight record.
+	// reachable); it becomes every waiter's recorded failure reason.
 	errMsg string
-}
-
-// coalescible reports whether an optimize request may share a
-// forward: it neither bypasses the cache nor requests a trace, in
-// either query-parameter or body-option spelling.
-func coalescible(req *http.Request, body []byte) bool {
-	q := req.URL.Query()
-	if q.Get("trace") != "" {
-		return false
-	}
-	if v := q.Get("no_cache"); v == "1" || v == "true" {
-		return false
-	}
-	if strings.HasPrefix(req.Header.Get("Content-Type"), "application/json") {
-		var jr struct {
-			Options struct {
-				NoCache bool   `json:"no_cache"`
-				Trace   string `json:"trace"`
-			} `json:"options"`
-		}
-		if err := json.Unmarshal(body, &jr); err == nil &&
-			(jr.Options.NoCache || jr.Options.Trace != "") {
-			return false
-		}
-	}
-	return true
 }
 
 // serveOptimize serves one optimize request through the flight group:
@@ -99,10 +72,10 @@ func coalescible(req *http.Request, body []byte) bool {
 // report X-Mao-Cache: coalesced — the shard's verdict describes the
 // leader's request, not theirs. A ?trace= response gets the hop span
 // spliced into its span tree.
-func (r *Router) serveOptimize(w http.ResponseWriter, req *http.Request, key string, body []byte, rid string, tc scope.Context, hop scope.Span, start time.Time) {
+func (r *Router) serveOptimize(w http.ResponseWriter, req *http.Request, q *scope.Request, key string, shared bool, body []byte, hop scope.Span, start time.Time) {
 	var c *flight.Call[proxyResult]
 	leader := true
-	if coalescible(req, body) {
+	if shared {
 		c, leader = r.flights.Join(key)
 	} else {
 		c = r.flights.Solo()
@@ -111,6 +84,7 @@ func (r *Router) serveOptimize(w http.ResponseWriter, req *http.Request, key str
 		// Detached from the leader's client: followers may outlive it.
 		runCtx, runCancel := context.WithTimeout(context.WithoutCancel(req.Context()), flightTimeout)
 		c.SetCancel(runCancel)
+		rid, tc := q.ID, q.Trace
 		go func() {
 			c.Publish(r.forwardBuffered(runCtx, req, key, body, rid, tc, hop))
 		}()
@@ -120,10 +94,7 @@ func (r *Router) serveOptimize(w http.ResponseWriter, req *http.Request, key str
 
 	res, err := c.Wait(req.Context())
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("request abandoned before the answer arrived"))
-		r.finishProxy(req, start, rid, tc, "", "", http.StatusServiceUnavailable, 0,
-			"client gone before the answer arrived")
+		q.Fail(w, http.StatusServiceUnavailable, errors.New("request abandoned before the answer arrived"))
 		return
 	}
 
@@ -149,13 +120,11 @@ func (r *Router) serveOptimize(w http.ResponseWriter, req *http.Request, key str
 	if res.shard != "" {
 		w.Header().Set(shardHeader, res.shard)
 	}
-	if verdict != "" {
-		w.Header().Set(cacheHeader, verdict)
-	}
+	q.Shard, q.Retries, q.Err = res.shard, res.retries, res.errMsg
+	q.SetCache(w, verdict)
 	w.Header().Del("Content-Length") // recomputed for the replayed body
 	w.WriteHeader(res.status)
 	w.Write(respBody)
-	r.finishProxy(req, start, rid, tc, res.shard, verdict, res.status, res.retries, res.errMsg)
 }
 
 // forwardBuffered is the buffered counterpart of proxy's forwarding
@@ -195,13 +164,13 @@ func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key str
 			continue
 		}
 		r.met.shard(b.name).requests.Add(1)
-		r.met.shard(b.name).latency.observe(time.Since(fwdStart).Seconds())
+		r.met.shard(b.name).latency.Observe(time.Since(fwdStart).Seconds())
 		res := proxyResult{
 			status:  resp.StatusCode,
 			header:  resp.Header,
 			body:    respBody,
 			shard:   b.name,
-			cache:   resp.Header.Get(cacheHeader),
+			cache:   resp.Header.Get(scope.CacheHeader),
 			retries: attempt,
 		}
 		if lastErr != nil {
@@ -218,7 +187,7 @@ func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key str
 	return proxyResult{
 		status:  http.StatusBadGateway,
 		header:  h,
-		body:    errorBody(err),
+		body:    scope.ErrorBody(err),
 		retries: len(candidates) - 1,
 		errMsg:  err.Error(),
 	}

@@ -36,7 +36,6 @@ package router
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -76,9 +75,6 @@ type Config struct {
 	// AccessLog, when non-nil, receives one JSON line per proxied
 	// request (shard, cache verdict, trace ID, retries).
 	AccessLog io.Writer
-	// FlightRecords sizes the router's flight-recorder ring (0 = 512,
-	// negative disables). Served from DebugHandler under /debug/scope/.
-	FlightRecords int
 }
 
 func (c Config) withDefaults() Config {
@@ -93,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.FlightRecords == 0 {
-		c.FlightRecords = 512
 	}
 	return c
 }
@@ -123,8 +116,9 @@ type Router struct {
 	backends []*backend
 	client   *http.Client
 	met      *routerMetrics
-	flight   *scope.Recorder
+	flight   *scope.Recorder           // the last scope.FlightRing /v1/* requests
 	flights  flight.Group[proxyResult] // buffered optimize forwards, by routing key
+	proxied  http.Handler              // proxy behind the request layer
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -157,10 +151,12 @@ func New(cfg Config) (*Router, error) {
 		// cut long archive streams short).
 		client:    &http.Client{},
 		met:       newRouterMetrics(names),
-		flight:    newFlightRecorder(cfg.FlightRecords),
+		flight:    scope.NewRecorder(scope.FlightRing),
 		stopProbe: make(chan struct{}),
 		started:   time.Now(),
 	}
+	layer := &scope.Layer{AccessLog: cfg.AccessLog, Flight: r.flight}
+	r.proxied = layer.Wrap(http.HandlerFunc(r.proxy))
 	if cfg.ProbeInterval > 0 {
 		r.probeWG.Add(1)
 		go r.probeLoop()
@@ -233,25 +229,14 @@ func (r *Router) probe(b *backend) {
 	}
 }
 
-// requestIDHeader mirrors maod's: the router propagates an inbound
-// X-Request-ID (or mints one) onto the shard hop, so one ID correlates
-// the client, the router access path, and the shard's spans.
-const requestIDHeader = "X-Request-ID"
-
 // shardHeader names the shard that served a response; maoload's
 // per-shard report reads it.
 const shardHeader = "X-Mao-Shard"
 
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "00000000deadbeef"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // ServeHTTP serves the router's own endpoints (/healthz, /metrics)
-// and proxies everything else to a shard.
+// and proxies everything else to a shard. Only proxied requests pass
+// through the request layer: they are the ones access-logged, and
+// their /v1/* ones the ones flight-recorded.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case req.Method == "GET" && req.URL.Path == "/healthz":
@@ -260,54 +245,67 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	case req.Method == "GET" && req.URL.Path == "/metrics":
 		r.handleMetrics(w)
 	default:
-		r.proxy(w, req)
+		r.proxied.ServeHTTP(w, req)
 	}
 }
 
-// routeKey computes the routing key of a request. For JSON optimize
-// requests it is the daemon's own result-cache key — cachekey.Key
-// over (name, source, spec, option flags), with the ?explain/?verify
-// query spellings folded in exactly as the daemon folds them — so a
-// repeat request hashes onto the shard whose cache holds its answer.
-// Everything else (binary bodies the daemon decodes server-side,
-// archives, malformed bodies the shard will 4xx) routes by a digest
-// of the raw request: still deterministic — identical requests still
-// concentrate — just not aligned with a decoded-form cache entry.
-func routeKey(req *http.Request, body []byte) string {
+// optimizeBody is what the router reads of a JSON optimize body: the
+// fields of the daemon's result-cache key, plus the two options that
+// forbid sharing a forward.
+type optimizeBody struct {
+	Name    string `json:"name"`
+	Source  string `json:"source"`
+	Spec    string `json:"spec"`
+	Options struct {
+		Check   bool   `json:"check"`
+		Explain bool   `json:"explain"`
+		Verify  bool   `json:"verify"`
+		NoCache bool   `json:"no_cache"`
+		Trace   string `json:"trace"`
+	} `json:"options"`
+}
+
+// route reads a request's routing key and whether it may share a
+// buffered forward, decoding a JSON optimize body once for both.
+//
+// For JSON optimize requests the key is the daemon's own result-cache
+// key — cachekey.Key over (name, source, spec, option flags), with the
+// ?explain/?verify query spellings folded in exactly as the daemon
+// folds them — so a repeat request hashes onto the shard whose cache
+// holds its answer. Everything else (binary bodies the daemon decodes
+// server-side, archives, malformed bodies the shard will 4xx) routes
+// by a digest of the raw request: still deterministic — identical
+// requests still concentrate — just not aligned with a decoded-form
+// cache entry.
+//
+// A request may share a forward unless it bypasses the cache
+// (no_cache) or asks for a trace, in either query-parameter or
+// body-option spelling: a traced response is unique to its request.
+func route(req *http.Request, body []byte) (key string, shared bool) {
+	q := req.URL.Query()
+	set := func(name string) bool { v := q.Get(name); return v == "1" || v == "true" }
+	shared = q.Get("trace") == "" && !set("no_cache")
 	if req.URL.Path == "/v1/optimize" &&
 		strings.HasPrefix(req.Header.Get("Content-Type"), "application/json") {
-		var jr struct {
-			Name    string `json:"name"`
-			Source  string `json:"source"`
-			Spec    string `json:"spec"`
-			Options struct {
-				Check   bool `json:"check"`
-				Explain bool `json:"explain"`
-				Verify  bool `json:"verify"`
-			} `json:"options"`
-		}
-		if err := json.Unmarshal(body, &jr); err == nil && jr.Source != "" {
-			q := req.URL.Query()
-			if v := q.Get("explain"); v == "1" || v == "true" {
-				jr.Options.Explain = true
+		var jr optimizeBody
+		if err := json.Unmarshal(body, &jr); err == nil {
+			shared = shared && !jr.Options.NoCache && jr.Options.Trace == ""
+			if jr.Source != "" {
+				return cachekey.Key(cachekey.Request{
+					Name:    jr.Name,
+					Source:  jr.Source,
+					Spec:    jr.Spec,
+					Check:   jr.Options.Check,
+					Explain: jr.Options.Explain || set("explain"),
+					Verify:  jr.Options.Verify || set("verify"),
+				}), shared
 			}
-			if v := q.Get("verify"); v == "1" || v == "true" {
-				jr.Options.Verify = true
-			}
-			return cachekey.Key(cachekey.Request{
-				Name:    jr.Name,
-				Source:  jr.Source,
-				Spec:    jr.Spec,
-				Check:   jr.Options.Check,
-				Explain: jr.Options.Explain,
-				Verify:  jr.Options.Verify,
-			})
 		}
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s:%s:%s:%d:", req.Method, req.URL.Path, req.URL.RawQuery, len(body))
 	h.Write(body)
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), shared
 }
 
 // proxy forwards req to the shard owning its routing key, retrying
@@ -319,14 +317,8 @@ func routeKey(req *http.Request, body []byte) string {
 // else streams through the loop below.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
-	rid := req.Header.Get(requestIDHeader)
-	if rid == "" || len(rid) > 128 {
-		rid = newRequestID()
-	}
-	w.Header().Set(requestIDHeader, rid)
-	tc := scopeContext(req)
-	w.Header().Set(scope.TraceHeader, tc.Header())
-	hop := hopSpan(tc, rid)
+	q := scope.From(req.Context())
+	hop := hopSpan(q.Trace, q.ID)
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
 	if err != nil {
@@ -335,14 +327,13 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, fmt.Errorf("reading request body: %w", err))
-		r.finishProxy(req, start, rid, tc, "", "", status, 0, "reading request body: "+err.Error())
+		q.Fail(w, status, fmt.Errorf("reading request body: %w", err))
 		return
 	}
 
-	key := routeKey(req, body)
+	key, shared := route(req, body)
 	if req.Method == "POST" && req.URL.Path == "/v1/optimize" {
-		r.serveOptimize(w, req, key, body, rid, tc, hop, start)
+		r.serveOptimize(w, req, q, key, shared, body, hop, start)
 		return
 	}
 
@@ -353,7 +344,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 			r.met.retries.Add(1)
 		}
 		fwdStart := time.Now()
-		resp, err := r.forward(req.Context(), req, b, body, rid, tc.Child(hop.SpanID))
+		resp, err := r.forward(req.Context(), req, b, body, q.ID, q.Trace.Child(hop.SpanID))
 		if err != nil {
 			// Transport-level death before a response: the shard is
 			// gone or unreachable. Mark it and try the next candidate;
@@ -379,18 +370,18 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		r.met.shard(b.name).requests.Add(1)
 		w.Header().Set(shardHeader, b.name)
 		copyHeaders(w.Header(), resp.Header)
+		q.Shard, q.Retries = b.name, attempt
+		q.SetCache(w, resp.Header.Get(scope.CacheHeader))
 		w.WriteHeader(resp.StatusCode)
 		streamBody(w, resp.Body)
 		resp.Body.Close()
-		r.met.shard(b.name).latency.observe(time.Since(fwdStart).Seconds())
-		r.finishProxy(req, start, rid, tc, b.name, resp.Header.Get(cacheHeader), resp.StatusCode, attempt, "")
+		r.met.shard(b.name).latency.Observe(time.Since(fwdStart).Seconds())
 		return
 	}
 	r.met.unrouted.Add(1)
 	w.Header().Set("Retry-After", "1")
-	err = fmt.Errorf("no shard reachable: %w", lastErr)
-	writeError(w, http.StatusBadGateway, err)
-	r.finishProxy(req, start, rid, tc, "", "", http.StatusBadGateway, len(candidates)-1, err.Error())
+	q.Retries = len(candidates) - 1
+	q.Fail(w, http.StatusBadGateway, fmt.Errorf("no shard reachable: %w", lastErr))
 }
 
 // candidates returns the shards to try for key: healthy shards in ring
@@ -431,7 +422,7 @@ func (r *Router) forward(ctx context.Context, req *http.Request, b *backend, bod
 		return nil, err
 	}
 	out.Header = req.Header.Clone()
-	out.Header.Set(requestIDHeader, rid)
+	out.Header.Set(scope.RequestIDHeader, rid)
 	out.Header.Set(scope.TraceHeader, tc.Header())
 	return r.client.Do(out)
 }
@@ -444,9 +435,9 @@ func (r *Router) forward(ctx context.Context, req *http.Request, b *backend, bod
 // against canonical keys — http.Header stores "X-Request-Id", not
 // the constant's spelling.
 var routerOwnedHeaders = map[string]bool{
-	http.CanonicalHeaderKey(requestIDHeader):   true,
-	http.CanonicalHeaderKey(shardHeader):       true,
-	http.CanonicalHeaderKey(scope.TraceHeader): true,
+	http.CanonicalHeaderKey(scope.RequestIDHeader): true,
+	http.CanonicalHeaderKey(shardHeader):           true,
+	http.CanonicalHeaderKey(scope.TraceHeader):     true,
 }
 
 func copyHeaders(dst, src http.Header) {
@@ -489,25 +480,4 @@ func (r *Router) Healthy() int {
 		}
 	}
 	return n
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(errorBody(err))
-}
-
-// errorBody is the JSON body of a router-level error answer, the same
-// bytes whether it is written directly or replayed from a buffered
-// forward.
-func errorBody(err error) []byte {
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	enc.SetEscapeHTML(false)
-	enc.Encode(errorResponse{Error: err.Error()})
-	return b.Bytes()
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -611,19 +610,5 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Shards: []string{"::not a url"}}); err == nil {
 		t.Error("New with a malformed shard URL succeeded")
-	}
-}
-
-// TestHistogramSum: the local histogram copy sums observations (guards
-// the CAS loop).
-func TestHistogramSum(t *testing.T) {
-	h := newHistogram(latencyBuckets)
-	h.observe(0.001)
-	h.observe(0.002)
-	if n := h.count.Load(); n != 2 {
-		t.Fatalf("count = %d", n)
-	}
-	if sum := math.Float64frombits(h.sumBits.Load()); math.Abs(sum-0.003) > 1e-9 {
-		t.Fatalf("sum = %g", sum)
 	}
 }

@@ -3,41 +3,16 @@ package router
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/pprof"
-	"time"
 
 	"mao/internal/scope"
 )
 
 // MAOSCOPE wiring for the router: the hop span (one per forward,
-// carrying shard choice and failover attribution), the trace-context
-// relay (inbound X-Mao-Trace re-parented under the hop span before the
-// shard sees it), the flight recorder, and the JSON access log.
-
-// cacheHeader is maod's result-cache verdict header, relayed into the
-// router's access log and flight records.
-const cacheHeader = "X-Mao-Cache"
-
-// newFlightRecorder maps Config.FlightRecords onto a recorder:
-// negative disables (nil recorder — every call is a no-op).
-func newFlightRecorder(n int) *scope.Recorder {
-	if n < 0 {
-		return nil
-	}
-	return scope.NewRecorder(n)
-}
-
-// scopeContext resolves a proxied request's trace context: adopt a
-// well-formed inbound X-Mao-Trace, originate otherwise. The hop span
-// interposes between the inbound parent and the shard's tree, so the
-// forwarded header carries the hop span as the new parent.
-func scopeContext(req *http.Request) scope.Context {
-	tc, ok := scope.ParseHeader(req.Header.Get(scope.TraceHeader))
-	if !ok {
-		tc = scope.NewContext()
-	}
-	return tc
-}
+// carrying shard choice and failover attribution) and its splice into
+// traced responses. Request identity, trace-context adoption, the
+// access log and the flight recorder are internal/scope's request
+// layer, which the proxy path runs behind; the forwarded X-Mao-Trace
+// carries the hop span as the shard's parent.
 
 // hopSpan seeds the router's hop span for one proxied request. The ID
 // is salted with the request ID so two requests reusing one inbound
@@ -94,114 +69,7 @@ func spliceTrace(body []byte, hop scope.Span) []byte {
 	return out
 }
 
-// accessRecord is one structured router access-log line: the shard
-// that served the request and the cache verdict it reported are
-// first-class fields, so a grep over the log answers "which shard, was
-// it a hit" without touching metrics.
-type accessRecord struct {
-	Time       string  `json:"time"`
-	Method     string  `json:"method"`
-	Path       string  `json:"path"`
-	Status     int     `json:"status"`
-	DurationMS float64 `json:"dur_ms"`
-	Remote     string  `json:"remote"`
-	RequestID  string  `json:"request_id"`
-	TraceID    string  `json:"trace_id,omitempty"`
-	Shard      string  `json:"shard,omitempty"`
-	Cache      string  `json:"cache,omitempty"`
-	Retries    int     `json:"retries,omitempty"`
-	Error      string  `json:"error,omitempty"`
-}
-
-// finishProxy records one completed proxied request into the access
-// log and the flight recorder.
-func (r *Router) finishProxy(req *http.Request, start time.Time, rid string, tc scope.Context, shard, cache string, status, retries int, errMsg string) {
-	d := time.Since(start)
-	if r.cfg.AccessLog != nil {
-		line, err := json.Marshal(accessRecord{
-			Time:       start.UTC().Format(time.RFC3339Nano),
-			Method:     req.Method,
-			Path:       req.URL.Path,
-			Status:     status,
-			DurationMS: float64(d.Microseconds()) / 1000,
-			Remote:     req.RemoteAddr,
-			RequestID:  rid,
-			TraceID:    tc.TraceID,
-			Shard:      shard,
-			Cache:      cache,
-			Retries:    retries,
-			Error:      errMsg,
-		})
-		if err == nil {
-			line = append(line, '\n')
-			r.cfg.AccessLog.Write(line)
-		}
-	}
-	rec, h := r.flight.Acquire()
-	if rec == nil {
-		return
-	}
-	rec.TimeUnixNS = start.Add(d).UnixNano()
-	rec.TraceID = tc.TraceID
-	rec.RequestID = rid
-	rec.Client = clientOf(req)
-	rec.Shard = shard
-	rec.Path = req.URL.Path
-	rec.Cache = cache
-	rec.Status = status
-	rec.DurNS = d.Nanoseconds()
-	rec.Retries = retries
-	rec.Err = errMsg
-	r.flight.Commit(rec, h)
-}
-
-// clientOf mirrors maod's quota identity: the X-Mao-Client header,
-// falling back to the remote address.
-func clientOf(req *http.Request) string {
-	if c := req.Header.Get("X-Mao-Client"); c != "" && len(c) <= 128 {
-		return c
-	}
-	return req.RemoteAddr
-}
-
 // DebugHandler returns the router's debug plane for the opt-in
 // -debug-addr listener: pprof under /debug/pprof/ and the flight
 // recorder under /debug/scope/. Never mounted on the proxy port.
-func (r *Router) DebugHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /debug/scope/recent", func(w http.ResponseWriter, _ *http.Request) {
-		writeFlightView(w, "recent", r.flight.Recent(), 0)
-	})
-	mux.HandleFunc("GET /debug/scope/slowest", func(w http.ResponseWriter, _ *http.Request) {
-		writeFlightView(w, "slowest", r.flight.Slowest(), 0)
-	})
-	mux.HandleFunc("GET /debug/scope/errors", func(w http.ResponseWriter, _ *http.Request) {
-		recs, seen := r.flight.Errors()
-		writeFlightView(w, "errors", recs, seen)
-	})
-	return mux
-}
-
-// flightPayload mirrors maod's /debug/scope schema
-// (internal/scope/testdata/scope_flight.schema.json).
-type flightPayload struct {
-	Process    string               `json:"process"`
-	View       string               `json:"view"`
-	ErrorsSeen uint64               `json:"errors_seen,omitempty"`
-	Records    []scope.FlightRecord `json:"records"`
-}
-
-func writeFlightView(w http.ResponseWriter, view string, recs []scope.FlightRecord, errsSeen uint64) {
-	if recs == nil {
-		recs = []scope.FlightRecord{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(flightPayload{Process: "maorouter", View: view, ErrorsSeen: errsSeen, Records: recs})
-}
+func (r *Router) DebugHandler() http.Handler { return scope.DebugHandler("maorouter", r.flight) }

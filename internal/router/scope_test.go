@@ -292,7 +292,7 @@ func TestRouterAccessLogAndFlight(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("access log has %d lines, want 3:\n%s", len(lines), logBuf.String())
 	}
-	var first, last accessRecord
+	var first, last scope.AccessRecord
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("access log line not JSON: %v\n%s", err, lines[0])
 	}

@@ -1,6 +1,10 @@
 package scope
 
 import (
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -89,9 +93,7 @@ type flightSlot struct {
 }
 
 // Recorder is the flight recorder. The zero value is unusable;
-// construct with NewRecorder. A nil *Recorder is the disabled
-// recorder: Acquire returns nil and Commit is a no-op, so callers
-// need no branching beyond what they'd write anyway.
+// construct with NewRecorder.
 type Recorder struct {
 	slots []flightSlot
 	mask  uint64
@@ -125,19 +127,20 @@ func NewRecorder(n int) *Recorder {
 	for size < n {
 		size <<= 1
 	}
-	return &Recorder{
-		slots: make([]flightSlot, size),
-		mask:  uint64(size - 1),
+	slots := make([]flightSlot, size)
+	for i := range slots {
+		// A reader can reach a slot between a writer's sequence claim
+		// and its slot claim; an unwritten slot's Seq must match no
+		// sequence number, or Recent would report it as a record.
+		slots[i].rec.Seq = math.MaxUint64
 	}
+	return &Recorder{slots: slots, mask: uint64(size - 1)}
 }
 
 // Acquire claims the next ring slot and returns its record, reset for
 // filling, plus an opaque handle for Commit. The claimed slot is
-// invisible to readers until Commit. Nil receiver: returns nil, 0.
+// invisible to readers until Commit.
 func (r *Recorder) Acquire() (*FlightRecord, uint64) {
-	if r == nil {
-		return nil, 0
-	}
 	seq := r.next.Add(1) - 1
 	slot := &r.slots[seq&r.mask]
 	// Claim the slot. Contention here means the ring wrapped within
@@ -161,11 +164,8 @@ func (s *flightSlot) claim() {
 }
 
 // Commit publishes a record claimed by Acquire and feeds the
-// reservoirs. Safe on a nil receiver (no-op when rec is nil).
+// reservoirs.
 func (r *Recorder) Commit(rec *FlightRecord, handle uint64) {
-	if r == nil || rec == nil {
-		return
-	}
 	slot := &r.slots[handle&r.mask]
 	// Reservoirs first: they copy out of the slot, and publication
 	// makes the slot fair game for lapping writers.
@@ -236,9 +236,6 @@ func (r *Recorder) slowMin() int64 {
 // the duration of one record copy; records lapped by faster writers
 // between the sequence read and the claim are dropped.
 func (r *Recorder) Recent() []FlightRecord {
-	if r == nil {
-		return nil
-	}
 	hi := r.next.Load()
 	n := uint64(len(r.slots))
 	if hi < n {
@@ -262,9 +259,6 @@ func (r *Recorder) Recent() []FlightRecord {
 
 // Slowest snapshots the slowest-requests reservoir, slowest first.
 func (r *Recorder) Slowest() []FlightRecord {
-	if r == nil {
-		return nil
-	}
 	r.slowMu.Lock()
 	out := make([]FlightRecord, len(r.slowest))
 	for i := range r.slowest {
@@ -278,9 +272,6 @@ func (r *Recorder) Slowest() []FlightRecord {
 // Errors snapshots the errored-requests ring, newest first, plus the
 // total number of errors seen (the ring may have dropped older ones).
 func (r *Recorder) Errors() ([]FlightRecord, uint64) {
-	if r == nil {
-		return nil, 0
-	}
 	r.errMu.Lock()
 	defer r.errMu.Unlock()
 	out := make([]FlightRecord, 0, len(r.errs))
@@ -299,4 +290,43 @@ func (r *Recorder) Errors() ([]FlightRecord, uint64) {
 		out = append(out, cp)
 	}
 	return out, r.errSeen
+}
+
+// FlightView is the JSON payload of every /debug/scope view, pinned by
+// testdata/scope_flight.schema.json; maotop decodes it.
+type FlightView struct {
+	Process    string         `json:"process"`
+	View       string         `json:"view"`
+	ErrorsSeen uint64         `json:"errors_seen,omitempty"`
+	Records    []FlightRecord `json:"records"`
+}
+
+// DebugHandler returns a server's debug plane for its opt-in
+// -debug-addr listener: the net/http/pprof endpoints under
+// /debug/pprof/ and rec's views under /debug/scope/{recent,slowest,
+// errors}, named process in the payload. It is never mounted on a
+// service port: profiles and flight records expose internals (goroutine
+// stacks, other tenants' request metadata, timing side channels).
+func DebugHandler(process string, rec *Recorder) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	views := map[string]func() ([]FlightRecord, uint64){
+		"recent":  func() ([]FlightRecord, uint64) { return rec.Recent(), 0 },
+		"slowest": func() ([]FlightRecord, uint64) { return rec.Slowest(), 0 },
+		"errors":  rec.Errors,
+	}
+	for view, snapshot := range views {
+		mux.HandleFunc("GET /debug/scope/"+view, func(w http.ResponseWriter, _ *http.Request) {
+			recs, seen := snapshot()
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetEscapeHTML(false)
+			enc.Encode(FlightView{Process: process, View: view, ErrorsSeen: seen, Records: recs})
+		})
+	}
+	return mux
 }

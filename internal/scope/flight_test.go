@@ -112,21 +112,6 @@ func TestRecorderErrors(t *testing.T) {
 	}
 }
 
-func TestRecorderNilSafe(t *testing.T) {
-	var r *Recorder
-	rec, h := r.Acquire()
-	if rec != nil {
-		t.Fatal("nil recorder returned a record")
-	}
-	r.Commit(rec, h)
-	if r.Recent() != nil || r.Slowest() != nil {
-		t.Fatal("nil recorder returned records")
-	}
-	if errs, seen := r.Errors(); errs != nil || seen != 0 {
-		t.Fatal("nil recorder returned errors")
-	}
-}
-
 // TestRecorderHotPathZeroAlloc pins the acceptance criterion: once the
 // ring is warm, Acquire + fill + Commit performs zero heap
 // allocations.
@@ -195,4 +180,15 @@ func TestRecorderConcurrent(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writers.Wait()
+}
+
+// TestRecorderSkipsUnwrittenSlots: a reader that runs between a
+// writer's sequence claim and its slot claim must not report the
+// still-empty slot as that writer's record.
+func TestRecorderSkipsUnwrittenSlots(t *testing.T) {
+	r := NewRecorder(16)
+	r.next.Add(1) // a writer took sequence 0 and has not claimed its slot yet
+	if recs := r.Recent(); len(recs) != 0 {
+		t.Fatalf("Recent reported an unwritten slot: %+v", recs)
+	}
 }

@@ -47,13 +47,19 @@ type Sample struct {
 // order.
 type Metrics map[string][]Sample
 
+// maxPromLine is the longest exposition line ParseProm accepts.
+const maxPromLine = 1 << 20
+
 // ParseProm parses a Prometheus text-format page. It returns an error
 // for any line it cannot parse — the CI step leans on this to keep
 // the exposition format honest.
 func ParseProm(r io.Reader) (Metrics, error) {
 	out := Metrics{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// The buffer starts small and grows on demand up to the line
+	// limit: maotop parses every plane on every poll, and most pages
+	// have no line near 1 MiB.
+	sc.Buffer(nil, maxPromLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

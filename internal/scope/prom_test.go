@@ -3,6 +3,7 @@ package scope
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,37 @@ func TestParseProm(t *testing.T) {
 	p99, ok := m.Quantile("maod_latency_seconds", nil, 0.99)
 	if !ok || p99 <= 0.01 || p99 > 0.1 {
 		t.Fatalf("p99 = %v ok=%v", p99, ok)
+	}
+}
+
+// TestParsePromSmallPageAllocatesLittle: a one-line page parses
+// without paying for the 1 MiB line limit up front — maotop parses
+// every plane on every poll.
+func TestParsePromSmallPageAllocatesLittle(t *testing.T) {
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := ParseProm(strings.NewReader("maod_queue_depth 7\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+		t.Errorf("one-line page allocates %d bytes per parse, want < 64 KiB", per)
+	}
+}
+
+// TestParsePromLongLine: a line longer than bufio's 64 KiB default
+// still parses; the limit is ParseProm's own 1 MiB.
+func TestParsePromLongLine(t *testing.T) {
+	value := strings.Repeat("x", 100<<10)
+	m, err := ParseProm(strings.NewReader(`big{v="` + value + `"} 1` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := m.Value("big"); !ok || v != 1 || m["big"][0].Labels["v"] != value {
+		t.Errorf("long line misparsed: value %v ok %v, label length %d", v, ok, len(m["big"][0].Labels["v"]))
 	}
 }
 

@@ -4,7 +4,7 @@
 // maorouter → maod shard), and gives every process a flight recorder
 // for postmortem visibility without a metrics scrape.
 //
-// Three pieces live here:
+// Five pieces live here:
 //
 //   - Trace context (Context, ParseHeader): a W3C-traceparent-style
 //     X-Mao-Trace header carrying a 128-bit trace ID and the 64-bit
@@ -27,6 +27,14 @@
 //     the last N completed request records plus a reservoir of the
 //     slowest and all errored requests, served from the opt-in debug
 //     listener as /debug/scope/{recent,slowest,errors}.
+//
+//   - The request layer (request.go): the one per-request record both
+//     servers keep, and its projection into access-log lines, flight
+//     records and request metrics.
+//
+//   - The Prometheus text plane: one histogram and its exposition
+//     (expose.go), the runtime health block (runtime.go), and the
+//     parser maotop reads both planes with (prom.go).
 package scope
 
 import (

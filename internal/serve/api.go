@@ -121,11 +121,6 @@ type OptimizeResponse struct {
 	TraceChrome []scope.ChromeEvent `json:"trace_chrome,omitempty"`
 }
 
-// errorResponse is the body of every non-2xx answer.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // Handler returns the service's HTTP handler:
 //
 //	POST /v1/optimize          optimize one unit
@@ -135,8 +130,10 @@ type errorResponse struct {
 //	GET  /healthz              liveness (200 while the process runs)
 //	GET  /readyz               readiness (503 once draining)
 //
-// Every request is access-logged (Config.AccessLog) and measured into
-// the request metrics.
+// Every request goes through one scope.Layer, which resolves its
+// request ID, trace context and client, and projects its record into
+// the access log (Config.AccessLog), the request metrics and, for
+// /v1/* requests, the flight recorder.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
@@ -155,12 +152,14 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	return s.instrument(mux)
+	layer := &scope.Layer{AccessLog: s.cfg.AccessLog, Flight: s.flight, Observe: s.met.observeRequest}
+	return layer.Wrap(mux)
 }
 
-// cacheHeader reports result-cache disposition on every /v1/optimize
-// answer; load generators read it to measure fleet-wide hit rates.
-const cacheHeader = "X-Mao-Cache"
+// DebugHandler returns the debug plane served on maod's opt-in debug
+// listener (-debug-addr): pprof and the flight recorder's views. The
+// main handler serves nothing under /debug/, which the tests pin.
+func (s *Server) DebugHandler() http.Handler { return scope.DebugHandler("maod", s.flight) }
 
 // handleOptimize is POST /v1/optimize: check the client's quota,
 // validate, consult the result cache, admit into the queue, and wait
@@ -169,15 +168,15 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// The per-client quota gates everything, including cache hits: it
 	// is a request-rate bound, and a 429 here consumes no global queue
 	// slot — tenant isolation sits UNDER the shared admission control.
-	fi := flightFrom(r.Context())
-	if ok, retryAfter := s.quota.take(clientID(r)); !ok {
+	q := scope.From(r.Context())
+	if ok, retryAfter := s.quota.take(q.Client); !ok {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeFlightError(w, fi, http.StatusTooManyRequests, errors.New("client quota exhausted"))
+		q.Fail(w, http.StatusTooManyRequests, errors.New("client quota exhausted"))
 		return
 	}
 	req, status, err := s.decodeRequest(w, r)
 	if err != nil {
-		writeFlightError(w, fi, status, err)
+		q.Fail(w, status, err)
 		return
 	}
 
@@ -192,10 +191,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		if resp, ok := s.results.get(key); ok {
 			cached := *resp
 			cached.Cached = true
-			w.Header().Set(cacheHeader, "hit")
-			if fi != nil {
-				fi.cache = "hit"
-			}
+			q.SetCache(w, "hit")
 			writeJSON(w, http.StatusOK, &cached)
 			return
 		}
@@ -209,10 +205,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		verdict = "coalesced"
 		s.met.coalescedTotal.Add(1)
 	}
-	w.Header().Set(cacheHeader, verdict)
-	if fi != nil {
-		fi.cache = verdict
-	}
+	q.SetCache(w, verdict)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req))
 	defer cancel()
@@ -241,23 +234,20 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Deadline expired (or client went away) while the run was still
 		// queued or running; the last waiter out canceled it.
-		writeFlightError(w, fi, statusForCtx(err), fmt.Errorf("request abandoned: %w", err))
+		q.Fail(w, statusForCtx(err), fmt.Errorf("request abandoned: %w", err))
 		return
 	}
-	if fi != nil {
-		fi.queueNS = res.queueNS
-		fi.spans = res.spans
-	}
+	q.QueueNS, q.Spans = res.queueNS, res.spans
 	if res.err != nil {
 		if res.status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeFlightError(w, fi, res.status, res.err)
+		q.Fail(w, res.status, res.err)
 		return
 	}
 	resp := res.resp
 	if mode := req.Options.Trace; mode != "" {
-		resp = traceResponse(resp, res.spans, scopeContextFrom(r.Context()), key, mode)
+		resp = traceResponse(resp, res.spans, q.Trace, key, mode)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -280,24 +270,14 @@ func (s *Server) call(key string, shared bool) (c *flight.Call[jobResult], leade
 // leaderJob builds the job that runs call c. The run is detached from
 // the leader's request — followers may outlive it — but bounded by the
 // same deadline; the last waiter to leave cancels it. WithoutCancel
-// keeps the request-ID/trace values for the spans.
+// keeps the request record, whose ID stamps the spans.
 func (s *Server) leaderJob(c *flight.Call[jobResult], parent context.Context, req *OptimizeRequest, key string) *job {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(parent), s.deadlineFor(req))
 	c.SetCancel(cancel)
 	col := trace.NewCollector()
-	col.TraceID = requestIDFrom(ctx)
+	col.TraceID = scope.From(ctx).ID
 	return &job{req: req, key: key, ctx: ctx, done: make(chan jobResult, 1),
 		col: col, admitted: col.Now()}
-}
-
-// writeFlightError reports err on the wire and into the request's
-// flight carrier, so errored requests land in the recorder's error
-// reservoir with their reason.
-func writeFlightError(w http.ResponseWriter, fi *flightInfo, status int, err error) {
-	if fi != nil {
-		fi.errMsg = err.Error()
-	}
-	writeError(w, status, err)
 }
 
 // decodeRequest reads, parses and validates the request body. The
@@ -456,8 +436,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.Encode(v) // the status is already committed; encode errors only surface as a truncated body
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
 }

@@ -133,13 +133,13 @@ func parseArchive(r io.Reader, maxUnits int, maxSource int64) ([]archiveUnit, er
 
 // handleArchive is POST /v1/optimize/archive.
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
-	client := clientID(r)
+	q := scope.From(r.Context())
 	// One token opens the stream (429 if the client has none); each
 	// unit then pays a token via quota.wait — pacing, not refusal,
 	// because a committed 200 stream cannot turn into a 429.
-	if ok, retryAfter := s.quota.take(client); !ok {
+	if ok, retryAfter := s.quota.take(q.Client); !ok {
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfter))
-		writeError(w, http.StatusTooManyRequests, errors.New("client quota exhausted"))
+		q.Fail(w, http.StatusTooManyRequests, errors.New("client quota exhausted"))
 		return
 	}
 
@@ -150,21 +150,21 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			q.Fail(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("archive exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid archive: %w", err))
+		q.Fail(w, http.StatusBadRequest, fmt.Errorf("invalid archive: %w", err))
 		return
 	}
 	if len(units) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("archive carries no units"))
+		q.Fail(w, http.StatusBadRequest, errors.New("archive carries no units"))
 		return
 	}
 
 	// The archive-wide spec and options, validated once for all units.
-	q := r.URL.Query()
-	proto := OptimizeRequest{Spec: q.Get("spec")}
+	params := r.URL.Query()
+	proto := OptimizeRequest{Spec: params.Get("spec")}
 	for _, p := range []struct {
 		name string
 		dst  *bool
@@ -174,20 +174,20 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		{"explain", &proto.Options.Explain},
 		{"verify", &proto.Options.Verify},
 	} {
-		if v := q.Get(p.name); v == "1" || v == "true" {
+		if v := params.Get(p.name); v == "1" || v == "true" {
 			*p.dst = true
 		}
 	}
-	if v := q.Get("deadline_ms"); v != "" {
+	if v := params.Get("deadline_ms"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid deadline_ms %q", v))
+			q.Fail(w, http.StatusBadRequest, fmt.Errorf("invalid deadline_ms %q", v))
 			return
 		}
 		proto.Options.DeadlineMS = ms
 	}
 	if status, err := s.validateRequest(r, &proto); err != nil {
-		writeError(w, status, err)
+		q.Fail(w, status, err)
 		return
 	}
 
@@ -205,7 +205,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	enc.SetEscapeHTML(false)
 
 	outcomes := make(chan ArchiveRecord, len(units))
-	go s.submitArchive(ctx, client, units, &proto, scopeContextFrom(r.Context()), outcomes)
+	go s.submitArchive(ctx, q.Client, units, &proto, q.Trace, outcomes)
 
 	trailer := ArchiveTrailer{Units: len(units)}
 	for i := 0; i < len(units); i++ {

@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"mao/internal/scope"
 )
 
 // buildArchive frames units in maoar1 framing.
@@ -345,6 +348,49 @@ func TestCacheDispositionHeader(t *testing.T) {
 		resp.Body.Close()
 		if got := resp.Header.Get("X-Mao-Cache"); got != want {
 			t.Errorf("request %d: X-Mao-Cache = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestArchiveErrorReasonsRecorded: the archive path's refusals — 400
+// malformed, 413 oversize, 429 over quota — reach the flight
+// recorder's error view with their reason, like every other answer.
+func TestArchiveErrorReasonsRecorded(t *testing.T) {
+	s, ts := testServer(t, Config{MaxSourceBytes: 64, MaxArchiveUnits: 2, QuotaRate: 0.001, QuotaBurst: 2})
+	src := strings.Repeat("#", 60)
+	for _, c := range []struct {
+		body []byte
+		code int
+	}{
+		{[]byte("not a header\n"), 400},
+		{buildArchive([]archiveUnit{{"a.s", src}, {"b.s", src}}), 413},
+		{buildArchive([]archiveUnit{{"a.s", src}}), 429},
+	} {
+		if _, _, code := postArchive(t, ts.URL, c.body, ""); code != c.code {
+			t.Fatalf("status %d, want %d", code, c.code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/scope/errors", nil))
+	var view scope.FlightView
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		status int
+		reason string
+	}{
+		{429, "client quota exhausted"},
+		{413, "archive exceeds 128 bytes"},
+		{400, "invalid archive: entry 0: malformed header"},
+	}
+	if len(view.Records) != len(want) {
+		t.Fatalf("%d error records, want %d: %s", len(view.Records), len(want), rec.Body.String())
+	}
+	for i, w := range want {
+		got := view.Records[i]
+		if got.Status != w.status || !strings.HasPrefix(got.Err, w.reason) || got.Path != "/v1/optimize/archive" {
+			t.Errorf("error record %d = %d %q on %s, want %d %q…", i, got.Status, got.Err, got.Path, w.status, w.reason)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"mao/internal/scope"
 )
 
 func scrape(t *testing.T, url string) string {
@@ -94,8 +96,8 @@ func TestMetricsHistogramCumulative(t *testing.T) {
 		last = v
 		n++
 	}
-	if n != len(latencyBuckets)+1 {
-		t.Errorf("bucket lines = %d, want %d", n, len(latencyBuckets)+1)
+	if n != len(scope.LatencyBuckets)+1 {
+		t.Errorf("bucket lines = %d, want %d", n, len(scope.LatencyBuckets)+1)
 	}
 }
 

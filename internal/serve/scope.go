@@ -1,125 +1,14 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
-	"net/http"
-
 	"mao/internal/scope"
 	"mao/internal/trace"
 )
 
-// MAOSCOPE wiring for the daemon: the distributed-trace context rides
-// the request context from the instrument middleware into the worker
-// (where the span tree parents under it), and the flight carrier lets
-// handlers report per-request facts (cache verdict, queue wait, span
-// stream) back to the middleware, which writes the flight record after
-// the response is committed.
-
-// newFlightRecorder maps Config.FlightRecords onto a recorder:
-// negative disables (nil recorder — every scope call is a no-op).
-func newFlightRecorder(n int) *scope.Recorder {
-	if n < 0 {
-		return nil
-	}
-	return scope.NewRecorder(n)
-}
-
-// scopeKey carries the request's scope.Context.
-type scopeKey struct{}
-
-// withScopeContext resolves the request's distributed-trace context:
-// a well-formed inbound X-Mao-Trace is adopted (the daemon's spans
-// parent under the sender's span), anything else originates a fresh
-// trace. The effective context is echoed on the response so callers
-// can correlate even when they did not originate.
-func withScopeContext(r *http.Request) (*http.Request, scope.Context) {
-	tc, ok := scope.ParseHeader(r.Header.Get(scope.TraceHeader))
-	if !ok {
-		tc = scope.NewContext()
-	}
-	return r.WithContext(context.WithValue(r.Context(), scopeKey{}, tc)), tc
-}
-
-// scopeContextFrom returns the trace context carried by ctx (zero
-// context when the request did not pass through instrument).
-func scopeContextFrom(ctx context.Context) scope.Context {
-	tc, _ := ctx.Value(scopeKey{}).(scope.Context)
-	return tc
-}
-
-// flightInfo is the per-request carrier the handler fills and the
-// instrument middleware drains into the flight recorder.
-type flightInfo struct {
-	cache   string // result-cache verdict: "hit", "miss", "coalesced", ""
-	queueNS int64
-	errMsg  string
-	spans   []trace.Span // the request's span stream (pass latency vector)
-}
-
-type flightKey struct{}
-
-func withFlightInfo(r *http.Request) (*http.Request, *flightInfo) {
-	fi := &flightInfo{}
-	return r.WithContext(context.WithValue(r.Context(), flightKey{}, fi)), fi
-}
-
-func flightFrom(ctx context.Context) *flightInfo {
-	fi, _ := ctx.Value(flightKey{}).(*flightInfo)
-	return fi
-}
-
-// recordFlight writes one flight record for a completed /v1/* request.
-// It is the only writer on the daemon's request path; the recorder's
-// Acquire/Commit contract keeps it allocation-free once the ring is
-// warm (the pass-name strings are shared with the span stream, not
-// copied).
-func (s *Server) recordFlight(r *http.Request, status int, durNS int64, nowUnixNS int64, fi *flightInfo) {
-	rec, h := s.flight.Acquire()
-	if rec == nil {
-		return
-	}
-	rec.TimeUnixNS = nowUnixNS
-	rec.TraceID = scopeContextFrom(r.Context()).TraceID
-	rec.RequestID = requestIDFrom(r.Context())
-	rec.Client = clientID(r)
-	rec.Path = r.URL.Path
-	rec.Status = status
-	rec.DurNS = durNS
-	if fi != nil {
-		rec.Cache = fi.cache
-		rec.QueueNS = fi.queueNS
-		rec.Err = fi.errMsg
-		for _, sp := range fi.spans {
-			if sp.Kind != trace.KindInvocation {
-				continue
-			}
-			rec.Passes = append(rec.Passes, scope.PassNS{Pass: sp.Ref.String(), DurNS: int64(sp.Dur)})
-		}
-	}
-	s.flight.Commit(rec, h)
-}
-
-// flightPayload is the JSON shape of every /debug/scope endpoint,
-// pinned by internal/scope/testdata/scope_flight.schema.json.
-type flightPayload struct {
-	Process    string               `json:"process"`
-	View       string               `json:"view"`
-	ErrorsSeen uint64               `json:"errors_seen,omitempty"`
-	Records    []scope.FlightRecord `json:"records"`
-}
-
-// writeFlightView serves one flight-recorder view as JSON. Records is
-// never null — an empty recorder answers an empty array.
-func writeFlightView(w http.ResponseWriter, process, view string, recs []scope.FlightRecord, errsSeen uint64) {
-	if recs == nil {
-		recs = []scope.FlightRecord{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(flightPayload{Process: process, View: view, ErrorsSeen: errsSeen, Records: recs})
-}
+// MAOSCOPE wiring for the daemon: the request's trace context and
+// record travel in the request context (internal/scope's Layer, which
+// Handler wraps the mux in); the worker parents the span tree under the
+// trace context, and the handler projects it into ?trace= payloads.
 
 // parseTraceMode maps the ?trace= query parameter onto the
 // OptimizeOptions.Trace values: 1/true → "spans", chrome → "chrome".

@@ -94,11 +94,6 @@ type Config struct {
 	// AccessLog, when non-nil, receives one JSON line per completed
 	// HTTP request.
 	AccessLog io.Writer
-	// FlightRecords sizes the flight recorder's ring of recently
-	// completed requests, served on the debug listener as
-	// /debug/scope/{recent,slowest,errors} (0 = 512, negative
-	// disables the recorder).
-	FlightRecords int
 }
 
 func (c Config) withDefaults() Config {
@@ -125,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxArchiveUnits <= 0 {
 		c.MaxArchiveUnits = 256
-	}
-	if c.FlightRecords == 0 {
-		c.FlightRecords = 512
 	}
 	return c
 }
@@ -169,8 +161,10 @@ type Server struct {
 	memo       *memo.Memo
 	flights    flight.Group[jobResult] // identical in-flight misses, by result-cache key
 	met        *metrics
-	quota      *quotas         // nil when Config.QuotaRate == 0
-	flight     *scope.Recorder // nil when Config.FlightRecords < 0
+	quota      *quotas // nil when Config.QuotaRate == 0
+	// flight keeps the last scope.FlightRing /v1/* requests, served by
+	// DebugHandler.
+	flight *scope.Recorder
 
 	queue chan *job
 
@@ -195,7 +189,7 @@ func New(cfg Config) *Server {
 		results:    newResultCache(cfg.ResultCacheEntries),
 		met:        newMetrics(),
 		quota:      newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
-		flight:     newFlightRecorder(cfg.FlightRecords),
+		flight:     scope.NewRecorder(scope.FlightRing),
 		queue:      make(chan *job, cfg.QueueDepth),
 		accepting:  true,
 		started:    time.Now(),
@@ -295,14 +289,14 @@ func (s *Server) runJob(j *job, st *relax.State) {
 	col := j.col
 	if col == nil {
 		col = trace.NewCollector()
-		col.TraceID = requestIDFrom(j.ctx)
+		col.TraceID = scope.From(j.ctx).ID
 	}
 	// The daemon-side span tree roots at the queue span: admitted →
 	// picked up, then the batch span covers this request's execution
 	// slot on its worker, and the pipeline root (added by pass.Manager)
 	// is re-parented under it after the run.
 	wait := col.Now() - j.admitted
-	s.met.queueWait.observe(wait.Seconds())
+	s.met.queueWait.Observe(wait.Seconds())
 	queueIdx := col.Add(trace.Span{Kind: trace.KindQueue, Start: j.admitted, Dur: wait, Parent: -1})
 	batchIdx := col.Add(trace.Span{Kind: trace.KindBatch, Start: col.Now(), Parent: queueIdx})
 	finish := func(res jobResult) {

@@ -11,7 +11,15 @@ import (
 	"time"
 
 	"mao/internal/pass"
+	"mao/internal/scope"
 )
+
+// The error body and the cache-verdict header are defined once for
+// both servers, in internal/scope; the tests read them under the
+// package's short names.
+type errorResponse = scope.ErrorResponse
+
+const cacheHeader = scope.CacheHeader
 
 // sleepPass blocks for ms[N] milliseconds (default 10), honoring the
 // run context — the knob the admission, deadline and drain tests use
@@ -373,7 +381,7 @@ func TestAccessLog(t *testing.T) {
 	if len(lines) < 2 {
 		t.Fatalf("access log lines = %d, want >= 2:\n%s", len(lines), buf.String())
 	}
-	var rec accessRecord
+	var rec scope.AccessRecord
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
 		t.Fatalf("access log line is not JSON: %v\n%s", err, lines[0])
 	}
