@@ -67,10 +67,12 @@ func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablations") }
 
 // --- infrastructure micro-benchmarks -----------------------------------------
 
-// BenchmarkParse measures parser throughput on the synthetic corpus.
+// BenchmarkParse measures parser throughput and allocations on the
+// synthetic corpus.
 func BenchmarkParse(b *testing.B) {
 	src := corpus.Generate(corpus.CoreLibrary(benchScale))
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mao.ParseString("bench.s", src); err != nil {

@@ -37,7 +37,10 @@
 #               the X-Mao-Trace header parser (FuzzParseHeader) and
 #               the metrics exposition parser maotop reads from the
 #               network (FuzzParseProm) run briefly for the same
-#               reason
+#               reason. Each step minimizes a new interesting input
+#               for at most 1 s (-fuzzminimizetime): under the
+#               default 60 s a step could spend nearly all of its
+#               budget minimizing at 0 execs/s instead of fuzzing
 #   decode-roundtrip
 #               every corpus fixture is assembled to raw machine code
 #               (mao -emit-binary), lifted back through the binary
@@ -125,25 +128,25 @@ echo "== maolint: passes mutate IR only through pass.Ctx helpers"
 go run ./cmd/maolint ./internal/passes
 
 echo "== fuzz smoke: parser"
-go test -run '^$' -fuzz FuzzParseString -fuzztime 30s ./internal/asm/
+go test -run '^$' -fuzz FuzzParseString -fuzztime 30s -fuzzminimizetime 1s ./internal/asm/
 
 echo "== fuzz smoke: verifier zero-false-positive gate"
-go test -run '^$' -fuzz FuzzVerifyEquiv -fuzztime 10s ./internal/verify/
+go test -run '^$' -fuzz FuzzVerifyEquiv -fuzztime 10s -fuzzminimizetime 1s ./internal/verify/
 
 echo "== fuzz smoke: decode↔encode oracle"
-go test -run '^$' -fuzz FuzzDecodeEncodeRoundtrip -fuzztime 10s ./internal/x86/decode/
+go test -run '^$' -fuzz FuzzDecodeEncodeRoundtrip -fuzztime 10s -fuzzminimizetime 1s ./internal/x86/decode/
 
 echo "== fuzz smoke: maoar1 archive framing"
-go test -run '^$' -fuzz FuzzParseArchive -fuzztime 10s ./internal/serve/
+go test -run '^$' -fuzz FuzzParseArchive -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 
 echo "== fuzz smoke: pass-spec parser"
-go test -run '^$' -fuzz FuzzParsePipeline -fuzztime 10s ./internal/pass/
+go test -run '^$' -fuzz FuzzParsePipeline -fuzztime 10s -fuzzminimizetime 1s ./internal/pass/
 
 echo "== fuzz smoke: X-Mao-Trace header parser"
-go test -run '^$' -fuzz FuzzParseHeader -fuzztime 10s ./internal/scope/
+go test -run '^$' -fuzz FuzzParseHeader -fuzztime 10s -fuzzminimizetime 1s ./internal/scope/
 
 echo "== fuzz smoke: Prometheus exposition parser"
-go test -run '^$' -fuzz FuzzParseProm -fuzztime 10s ./internal/scope/
+go test -run '^$' -fuzz FuzzParseProm -fuzztime 10s -fuzzminimizetime 1s ./internal/scope/
 
 echo "== benchmark smoke run"
 go test -run '^$' -bench . -benchtime=1x ./...

@@ -1,9 +1,9 @@
 package asm
 
 import (
+	"slices"
 	"strings"
 
-	"mao/internal/ir"
 	"mao/internal/x86"
 )
 
@@ -20,39 +20,32 @@ var intelSizes = map[string]x86.Width{
 
 // intelInstruction parses one Intel-syntax instruction statement.
 func (p *parser) intelInstruction(s string) error {
-	mnemonic := s
-	var rest string
-	if i := strings.IndexAny(s, " \t"); i >= 0 {
-		mnemonic, rest = strings.ToLower(s[:i]), strings.TrimSpace(s[i+1:])
-	} else {
-		mnemonic = strings.ToLower(mnemonic)
-	}
+	mnemonic, rest := cutWord(s)
+	mnemonic = strings.ToLower(mnemonic)
 
 	m, srcWidth, ok := intelMnemonic(mnemonic)
 	if !ok {
 		return p.errf("unknown mnemonic %q", mnemonic)
 	}
 
-	var args []x86.Operand
+	args := p.opBuf[:0]
 	var memWidth x86.Width
 	branch := m.Op.IsBranch()
-	if rest != "" {
-		for _, a := range splitTop(rest, ',') {
-			op, w, err := p.parseIntelOperand(strings.TrimSpace(a), branch)
-			if err != nil {
-				return err
-			}
-			if w != x86.W0 {
-				memWidth = w
-			}
-			args = append(args, op)
+	for more := rest != ""; more; {
+		var a string
+		a, rest, more = cutTop(rest, ',', false)
+		op, w, err := p.parseIntelOperand(strings.TrimSpace(a), branch)
+		if err != nil {
+			return err
 		}
+		if w != x86.W0 {
+			memWidth = w
+		}
+		args = append(args, op)
 	}
 
 	// Intel order is destination-first; the IR stores AT&T order.
-	for i, j := 0, len(args)-1; i < j; i, j = i+1, j-1 {
-		args[i], args[j] = args[j], args[i]
-	}
+	slices.Reverse(args)
 
 	if srcWidth != x86.W0 {
 		m.SrcWidth = srcWidth
@@ -76,9 +69,7 @@ func (p *parser) intelInstruction(s string) error {
 	if (m.Op == x86.OpMOV || m.Op == x86.OpMOVQX) && hasXMM(args) {
 		m = x86.Mnem{Op: x86.OpMOVQX}
 	}
-
-	in := x86.NewInst(m, args...)
-	p.append(ir.InstNode(in))
+	p.inst(m, args, false)
 	return nil
 }
 
@@ -132,14 +123,14 @@ func (p *parser) parseIntelOperand(s string, branch bool) (x86.Operand, x86.Widt
 	if r, ok := x86.RegByName(name); ok {
 		return x86.RegOp(r), 0, nil
 	}
-	if v, err := parseInt(s); err == nil {
+	if v, ok := parseInt(s); ok {
 		if branch {
 			return x86.Operand{}, 0, p.errf("numeric branch target %q not supported", s)
 		}
 		return x86.Imm(v), 0, nil
 	}
-	sym, off, err := parseSymExpr(s)
-	if err != nil {
+	sym, off, ok := parseSymExpr(s)
+	if !ok {
 		return x86.Operand{}, 0, p.errf("bad operand %q", s)
 	}
 	if branch {
@@ -169,15 +160,15 @@ func (p *parser) parseIntelMem(s string) (x86.Mem, error) {
 			a := strings.TrimSpace(t[:i])
 			b := strings.TrimSpace(t[i+1:])
 			regStr, scaleStr := a, b
-			if _, err := parseInt(a); err == nil {
+			if _, ok := parseInt(a); ok {
 				regStr, scaleStr = b, a
 			}
 			r, ok := x86.RegByName(strings.ToLower(strings.TrimPrefix(regStr, "%")))
 			if !ok {
 				return p.errf("bad index register %q", regStr)
 			}
-			sc, err := parseInt(scaleStr)
-			if err != nil || (sc != 1 && sc != 2 && sc != 4 && sc != 8) {
+			sc, ok := parseInt(scaleStr)
+			if !ok || (sc != 1 && sc != 2 && sc != 4 && sc != 8) {
 				return p.errf("bad scale %q", scaleStr)
 			}
 			if m.Index != x86.RegNone {
@@ -197,12 +188,12 @@ func (p *parser) parseIntelMem(s string) (x86.Mem, error) {
 			}
 			return nil
 		}
-		if v, err := parseInt(t); err == nil {
+		if v, ok := parseInt(t); ok {
 			m.Disp += sign * v
 			return nil
 		}
-		sym, off, err := parseSymExpr(t)
-		if err != nil {
+		sym, off, ok := parseSymExpr(t)
+		if !ok {
 			return p.errf("bad memory term %q", t)
 		}
 		if m.Sym != "" {

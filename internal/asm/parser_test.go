@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -152,21 +153,22 @@ func TestOperandForms(t *testing.T) {
 	}
 }
 
+// TestParseErrors runs every error case (differential_test.go) on its
+// own and requires a *ParseError naming the case's line, so each case
+// keeps reaching the error path the differential compares.
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"frobnicate %eax",
-		"mov %nosuch, %eax",
-		"mov $zz+, %eax",
-		"movl 4(%rsp,%rbx,3), %eax", // bad scale
-		"movl (%rsp,%rbx,8,9), %eax",
-		"lock",
-	}
-	for _, src := range bad {
-		if _, err := ParseString("bad.s", src); err == nil {
-			t.Errorf("ParseString(%q) succeeded, want error", src)
-		} else if !strings.Contains(err.Error(), "bad.s:1") {
-			t.Errorf("error %v lacks position", err)
+	for _, c := range errorCases {
+		_, err := ParseString("bad.s", "\t.text\nf:\n"+c+"\n")
+		if _, ok := err.(*ParseError); !ok {
+			t.Errorf("%q: error %v, want a *ParseError", c, err)
+			continue
 		}
+		if want := fmt.Sprintf("bad.s:%d:", 3+strings.Count(c, "\n")); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%q: error %v lacks position %s", c, err, want)
+		}
+	}
+	if _, err := ParseString("bad.s", duplicateLabel); err == nil {
+		t.Error("duplicate label accepted")
 	}
 }
 

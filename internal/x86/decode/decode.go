@@ -494,8 +494,15 @@ prefixesDone:
 		if err != nil {
 			return nil, err
 		}
-		return d.inst(x86.Mnem{Op: x86.OpXCHG, Width: w},
-			x86.RegOp(d.gpr(m.regNum, w)), d.rmOp(m, w)), nil
+		reg, rm := x86.RegOp(d.gpr(m.regNum, w)), d.rmOp(m, w)
+		// The encoder emits the 90+r short form for any xchg of the
+		// accumulator with another register, and that form lifts as
+		// (r, acc). An accumulator in the reg field lifts in the same
+		// order, so decode(encode(x)) == x.
+		if w != x86.W8 && !m.isMem() && m.regNum == 0 && m.rmNum != 0 {
+			reg, rm = rm, reg
+		}
+		return d.inst(x86.Mnem{Op: x86.OpXCHG, Width: w}, reg, rm), nil
 	case 0x88, 0x89: // mov r, r/m (MR)
 		w := x86.W8
 		if opc == 0x89 {

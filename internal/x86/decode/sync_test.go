@@ -327,4 +327,30 @@ func TestDecodeEncodeInverse(t *testing.T) {
 			t.Errorf("%s: re-encodes to %x, want %x", in, b2, b)
 		}
 	}
+
+	// Byte forms the encoder never emits must still lift to the
+	// canonical instruction: xchg with the accumulator in the ModRM
+	// reg field re-encodes as the 90+r short form, so it lifts in that
+	// form's (r, acc) operand order.
+	for _, hex := range []string{"87c7", "6687c7", "4887c7", "87c6", "4987c0"} {
+		b := mustHex(t, hex)
+		r, err := One(b, 0)
+		if err != nil {
+			t.Errorf("%s: decode: %v", hex, err)
+			continue
+		}
+		b2, err := encode.Encode(r.Inst, &encode.Ctx{})
+		if err != nil {
+			t.Errorf("%s (%s): encode: %v", hex, r.Inst, err)
+			continue
+		}
+		r2, err := One(b2, 0)
+		if err != nil {
+			t.Errorf("%s: re-encoding %x does not decode: %v", hex, b2, err)
+			continue
+		}
+		if !reflect.DeepEqual(r2.Inst, r.Inst) {
+			t.Errorf("%s: decode(encode(x)) != x: %s, then %s", hex, r.Inst, r2.Inst)
+		}
+	}
 }

@@ -247,98 +247,107 @@ type Mnem struct {
 	SrcWidth Width // source width for movzx/movsx
 }
 
+// cvtStems are the SSE conversions that take an optional GPR width
+// suffix (cvtsi2sdq, cvttss2sil).
+var cvtStems = map[string]Op{
+	"cvtsi2ss": OpCVTSI2SS, "cvtsi2sd": OpCVTSI2SD,
+	"cvttss2si": OpCVTTSS2SI, "cvttsd2si": OpCVTTSD2SI,
+}
+
+// condFamilies are the conditional mnemonic prefixes. A spelling that
+// starts with one of them is a conditional instruction or nothing.
+var condFamilies = [...]struct {
+	prefix  string
+	op      Op
+	suffix  bool  // takes an optional width suffix after the condition
+	implied Width // width the family fixes
+}{
+	{"cmov", OpCMOV, true, W0},
+	{"set", OpSET, false, W8},
+	{"j", OpJCC, false, W0},
+}
+
+// mnemonics maps every accepted lower-case spelling to its decoded
+// form; buildMnemonics derives it from the tables above once, so a
+// lookup is one hash.
+var mnemonics = buildMnemonics()
+
+// buildMnemonics enumerates every spelling the AT&T grammar accepts.
+// Families are entered from the loosest to the most specific, so a
+// later one overrides an earlier reading of the same spelling: bare
+// stems, then width-suffixed stems, movz/movs with two width letters,
+// the conditional families, the cvt conversions, the fixed spellings
+// and last movsd (the SSE move; string-move movs is unsupported, so it
+// is not ambiguous here). The families' spellings are disjoint apart
+// from those overrides, which TestMnemonicTable checks spelling by
+// spelling against the rule-by-rule decoder.
+func buildMnemonics() map[string]Mnem {
+	t := make(map[string]Mnem, 512)
+	suffixes := [...]byte{'b', 'w', 'l', 'q'}
+	for stem, op := range suffixedBases {
+		t[stem] = Mnem{Op: op}
+	}
+	for stem, op := range suffixedBases {
+		for _, s := range suffixes {
+			t[stem+string(s)] = Mnem{Op: op, Width: suffixWidth[s]}
+		}
+	}
+	for _, s := range suffixes {
+		for _, d := range suffixes {
+			src, dst := suffixWidth[s], suffixWidth[d]
+			if src >= dst {
+				continue
+			}
+			// movzlq does not exist (32-bit ops zero-extend implicitly).
+			if src != W32 {
+				t["movz"+string(s)+string(d)] = Mnem{Op: OpMOVZX, Width: dst, SrcWidth: src}
+			}
+			t["movs"+string(s)+string(d)] = Mnem{Op: OpMOVSX, Width: dst, SrcWidth: src}
+		}
+	}
+	for _, f := range condFamilies {
+		for alias := range condAliases {
+			tails := []string{""}
+			if f.suffix {
+				tails = append(tails, "b", "w", "l", "q")
+			}
+			for _, tail := range tails {
+				// cutCond settles a spelling two aliases could split
+				// differently ("cmovnel" is ne+l): longest match first.
+				c, rest, ok := cutCond(alias + tail)
+				if !ok {
+					continue
+				}
+				m := Mnem{Op: f.op, Cond: c, Width: f.implied}
+				if rest != "" {
+					m.Width = suffixWidth[rest[0]]
+				}
+				t[f.prefix+alias+tail] = m
+			}
+		}
+	}
+	for stem, op := range cvtStems {
+		t[stem] = Mnem{Op: op}
+		for _, s := range suffixes {
+			t[stem+string(s)] = Mnem{Op: op, Width: suffixWidth[s]}
+		}
+	}
+	for m, op := range fixedMnemonics {
+		t[m] = Mnem{Op: op}
+	}
+	t["movsd"] = Mnem{Op: OpMOVSD}
+	return t
+}
+
 // ParseMnemonic decodes an AT&T mnemonic like "addq", "jne", "movzbl",
-// "cmovle" or "cvtsi2sdq" into its constituents. The boolean result is
-// false for unrecognized mnemonics.
+// "cmovle" or "cvtsi2sdq" into its constituents, in any letter case.
+// The boolean result is false for unrecognized mnemonics.
 //
 // Width is left W0 where the suffix is absent; the parser later infers
 // the width from register operands.
 func ParseMnemonic(m string) (Mnem, bool) {
-	m = strings.ToLower(m)
-
-	// movsd: SSE scalar double move. (String-move movs is unsupported,
-	// so there is no ambiguity in this implementation.)
-	if m == "movsd" {
-		return Mnem{Op: OpMOVSD}, true
-	}
-	if op, ok := fixedMnemonics[m]; ok {
-		return Mnem{Op: op}, true
-	}
-
-	// cvtsi2ss/sd and cvttss/sd2si allow a GPR width suffix.
-	for stem, op := range map[string]Op{
-		"cvtsi2ss": OpCVTSI2SS, "cvtsi2sd": OpCVTSI2SD,
-		"cvttss2si": OpCVTTSS2SI, "cvttsd2si": OpCVTTSD2SI,
-	} {
-		if m == stem {
-			return Mnem{Op: op}, true
-		}
-		if len(m) == len(stem)+1 && strings.HasPrefix(m, stem) {
-			if w, ok := suffixWidth[m[len(stem)]]; ok {
-				return Mnem{Op: op, Width: w}, true
-			}
-		}
-	}
-
-	// Conditional families: jcc, setcc, cmovcc.
-	if rest, ok := strings.CutPrefix(m, "cmov"); ok {
-		if c, tail, ok := cutCond(rest); ok {
-			mn := Mnem{Op: OpCMOV, Cond: c}
-			if tail == "" {
-				return mn, true
-			}
-			if len(tail) == 1 {
-				if w, ok := suffixWidth[tail[0]]; ok {
-					mn.Width = w
-					return mn, true
-				}
-			}
-		}
-		return Mnem{}, false
-	}
-	if rest, ok := strings.CutPrefix(m, "set"); ok {
-		if c, tail, ok := cutCond(rest); ok && tail == "" {
-			return Mnem{Op: OpSET, Cond: c, Width: W8}, true
-		}
-		return Mnem{}, false
-	}
-	if rest, ok := strings.CutPrefix(m, "j"); ok && m != "jmp" && m != "jmpq" {
-		if c, tail, ok := cutCond(rest); ok && tail == "" {
-			return Mnem{Op: OpJCC, Cond: c}, true
-		}
-		return Mnem{}, false
-	}
-
-	// movz/movs with two width letters: movzbl, movsbq, movswl, movslq...
-	if len(m) == 6 && (strings.HasPrefix(m, "movz") || strings.HasPrefix(m, "movs")) {
-		src, okS := suffixWidth[m[4]]
-		dst, okD := suffixWidth[m[5]]
-		if okS && okD && src < dst {
-			op := OpMOVZX
-			if m[3] == 's' {
-				op = OpMOVSX
-			}
-			// movzlq does not exist (32-bit ops zero-extend implicitly).
-			if op == OpMOVZX && src == W32 {
-				return Mnem{}, false
-			}
-			return Mnem{Op: op, Width: dst, SrcWidth: src}, true
-		}
-		return Mnem{}, false
-	}
-
-	// Width-suffixed stems: addq, movl, testb, ...
-	if len(m) >= 2 {
-		if w, ok := suffixWidth[m[len(m)-1]]; ok {
-			if op, ok := suffixedBases[m[:len(m)-1]]; ok {
-				return Mnem{Op: op, Width: w}, true
-			}
-		}
-	}
-	if op, ok := suffixedBases[m]; ok {
-		return Mnem{Op: op}, true
-	}
-	return Mnem{}, false
+	mn, ok := mnemonics[strings.ToLower(m)]
+	return mn, ok
 }
 
 // Mnemonic renders the canonical AT&T mnemonic for an instruction with

@@ -17,18 +17,22 @@ const (
 // Operand is one instruction operand. Exactly the fields relevant to
 // Kind are meaningful. Operands are small value types; instructions
 // hold them by value so that copying an Inst deep-copies its operands.
+//
+// Kind, Star and Reg come first so they share one word, which keeps
+// the struct at 72 bytes (TestOperandSize): every parse, clone and
+// operand copy moves it.
 type Operand struct {
 	Kind OperandKind
-
-	Imm int64  // KindImm
-	Reg Reg    // KindReg
-	Mem Mem    // KindMem
-	Sym string // KindLabel: target symbol
-	Off int64  // KindLabel: constant addend (sym+8)
 
 	// Star marks AT&T indirect call/jump targets (*%rax, *(%rax)):
 	// the operand (register or memory) holds the target address.
 	Star bool
+
+	Reg Reg    // KindReg
+	Imm int64  // KindImm
+	Mem Mem    // KindMem
+	Sym string // KindLabel: target symbol
+	Off int64  // KindLabel: constant addend (sym+8)
 }
 
 // Mem describes an x86 memory reference disp(base,index,scale),
