@@ -34,10 +34,12 @@
 #               (FuzzDecodeEncodeRoundtrip), maod's maoar1 archive
 #               framing parser (FuzzParseArchive), the pass-spec
 #               parser (FuzzParsePipeline; specs arrive over HTTP),
-#               the X-Mao-Trace header parser (FuzzParseHeader) and
-#               the metrics exposition parser maotop reads from the
-#               network (FuzzParseProm) run briefly for the same
-#               reason. Each step minimizes a new interesting input
+#               the X-Mao-Trace header parser (FuzzParseHeader), the
+#               metrics exposition parser maotop reads from the
+#               network (FuzzParseProm) and the optimize-body decoder
+#               both servers run on every request, checked against
+#               encoding/json (FuzzDecodeOptimizeRequest), run briefly
+#               for the same reason. Each step minimizes a new interesting input
 #               for at most 1 s (-fuzzminimizetime): under the
 #               default 60 s a step could spend nearly all of its
 #               budget minimizing at 0 execs/s instead of fuzzing
@@ -147,6 +149,9 @@ go test -run '^$' -fuzz FuzzParseHeader -fuzztime 10s -fuzzminimizetime 1s ./int
 
 echo "== fuzz smoke: Prometheus exposition parser"
 go test -run '^$' -fuzz FuzzParseProm -fuzztime 10s -fuzzminimizetime 1s ./internal/scope/
+
+echo "== fuzz smoke: optimize-body decoder vs encoding/json"
+go test -run '^$' -fuzz FuzzDecodeOptimizeRequest -fuzztime 10s -fuzzminimizetime 1s ./internal/cachekey/
 
 echo "== benchmark smoke run"
 go test -run '^$' -bench . -benchtime=1x ./...

@@ -1,17 +1,19 @@
-// Package cachekey derives the content address of an optimization
-// request — the key of maod's result cache.
+// Package cachekey holds the optimize request — its type, its one-pass
+// decoder (DecodeOptimizeRequest) and its content address, the key of
+// maod's result cache.
 //
-// The derivation lives in its own package because two independent
-// components must agree on it byte-for-byte: the daemon
-// (internal/serve) uses it to index its LRU result cache, and the
-// shard router (internal/router) uses it to consistent-hash requests
-// onto shards so that repeat requests for the same content land on the
-// shard that already holds the cached response. If the two ever
-// computed keys differently, routing would still be *correct* (every
-// shard can serve every request) but cache hits would stop
-// concentrating — a silent fleet-wide performance regression. Keeping
-// one exported helper, pinned by golden-vector tests, makes that drift
-// impossible.
+// The three live in their own package because two independent
+// components must agree on them byte-for-byte: the daemon
+// (internal/serve) decodes a body and keys its LRU result cache with
+// them, and the shard router (internal/router) decodes the same body
+// and consistent-hashes the same key onto shards, so that repeat
+// requests for the same content land on the shard that already holds
+// the cached response. If the two ever decoded or keyed differently,
+// routing would still be *correct* (every shard can serve every
+// request) but cache hits would stop concentrating — a silent
+// fleet-wide performance regression. One decoder, held to
+// encoding/json by a differential fuzz target, and one key, pinned by
+// golden-vector tests, make that drift impossible.
 //
 // The key is the SHA-256 over a length-delimited encoding of every
 // request field the response bytes depend on: source, unit name, pass

@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -122,7 +121,7 @@ func (r *Router) serveOptimize(w http.ResponseWriter, req *http.Request, q *scop
 	}
 	q.Shard, q.Retries, q.Err = res.shard, res.retries, res.errMsg
 	q.SetCache(w, verdict)
-	w.Header().Del("Content-Length") // recomputed for the replayed body
+	w.Header().Set("Content-Length", strconv.Itoa(len(respBody)))
 	w.WriteHeader(res.status)
 	w.Write(respBody)
 }
@@ -148,7 +147,7 @@ func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key str
 			lastErr, failedOver = err, b.name
 			continue
 		}
-		respBody, rerr := io.ReadAll(resp.Body)
+		respBody, rerr := scope.ReadAll(resp.Body, resp.ContentLength)
 		resp.Body.Close()
 		if rerr != nil {
 			// The shard died mid-body. Nothing is committed to any

@@ -22,9 +22,35 @@ const cacheHeader = scope.CacheHeader
 // TestRouteSharedSpellings: one decode of the body decides whether an
 // optimize request may share a forward, honoring the no_cache and
 // trace options in both their query and body spellings; a body that
-// does not decode shares unless the query says otherwise.
+// does not decode shares unless the query says otherwise. The body is
+// decoded under the daemon's Content-Type rule — every type but
+// application/octet-stream is JSON — so options the daemon honors on a
+// curl -d (form-encoded), text/plain or untyped body stop sharing too.
 func TestRouteSharedSpellings(t *testing.T) {
 	const src = `"source":"\tret\n"`
+	for _, ct := range []string{"application/x-www-form-urlencoded", "text/plain", ""} {
+		for _, c := range []struct {
+			body   string
+			shared bool
+		}{
+			{`{` + src + `}`, true},
+			{`{` + src + `,"options":{"no_cache":true}}`, false},
+			{`{` + src + `,"options":{"trace":"spans"}}`, false},
+		} {
+			req := httptest.NewRequest("POST", "/v1/optimize", strings.NewReader(c.body))
+			req.Header.Set("Content-Type", ct)
+			if _, shared := route(req, []byte(c.body)); shared != c.shared {
+				t.Errorf("Content-Type %q %s: shared = %v, want %v", ct, c.body, shared, c.shared)
+			}
+		}
+	}
+	// A machine-code body is not JSON, whatever it holds.
+	body := `{` + src + `,"options":{"no_cache":true}}`
+	req := httptest.NewRequest("POST", "/v1/optimize", strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/octet-stream")
+	if _, shared := route(req, []byte(body)); !shared {
+		t.Error("application/octet-stream body decoded as JSON")
+	}
 	for _, c := range []struct {
 		query, body string
 		shared      bool

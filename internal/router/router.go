@@ -38,7 +38,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -249,26 +248,13 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// optimizeBody is what the router reads of a JSON optimize body: the
-// fields of the daemon's result-cache key, plus the two options that
-// forbid sharing a forward.
-type optimizeBody struct {
-	Name    string `json:"name"`
-	Source  string `json:"source"`
-	Spec    string `json:"spec"`
-	Options struct {
-		Check   bool   `json:"check"`
-		Explain bool   `json:"explain"`
-		Verify  bool   `json:"verify"`
-		NoCache bool   `json:"no_cache"`
-		Trace   string `json:"trace"`
-	} `json:"options"`
-}
-
 // route reads a request's routing key and whether it may share a
-// buffered forward, decoding a JSON optimize body once for both.
+// buffered forward, decoding an optimize body once for both with the
+// daemon's own decoder (cachekey.DecodeOptimizeRequest), under the
+// daemon's Content-Type rule: every body that is not
+// application/octet-stream is JSON.
 //
-// For JSON optimize requests the key is the daemon's own result-cache
+// For such optimize requests the key is the daemon's own result-cache
 // key — cachekey.Key over (name, source, spec, option flags), with the
 // ?explain/?verify query spellings folded in exactly as the daemon
 // folds them — so a repeat request hashes onto the shard whose cache
@@ -285,20 +271,13 @@ func route(req *http.Request, body []byte) (key string, shared bool) {
 	q := req.URL.Query()
 	set := func(name string) bool { v := q.Get(name); return v == "1" || v == "true" }
 	shared = q.Get("trace") == "" && !set("no_cache")
-	if req.URL.Path == "/v1/optimize" &&
-		strings.HasPrefix(req.Header.Get("Content-Type"), "application/json") {
-		var jr optimizeBody
-		if err := json.Unmarshal(body, &jr); err == nil {
-			shared = shared && !jr.Options.NoCache && jr.Options.Trace == ""
-			if jr.Source != "" {
-				return cachekey.Key(cachekey.Request{
-					Name:    jr.Name,
-					Source:  jr.Source,
-					Spec:    jr.Spec,
-					Check:   jr.Options.Check,
-					Explain: jr.Options.Explain || set("explain"),
-					Verify:  jr.Options.Verify || set("verify"),
-				}), shared
+	if req.URL.Path == "/v1/optimize" && cachekey.JSONBody(req.Header.Get("Content-Type")) {
+		if o, err := cachekey.DecodeOptimizeRequest(body); err == nil {
+			shared = shared && !o.Options.NoCache && o.Options.Trace == ""
+			if o.Source != "" {
+				o.Options.Explain = o.Options.Explain || set("explain")
+				o.Options.Verify = o.Options.Verify || set("verify")
+				return o.Key(), shared
 			}
 		}
 	}
@@ -320,7 +299,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	q := scope.From(req.Context())
 	hop := hopSpan(q.Trace, q.ID)
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	body, err := scope.ReadBody(w, req, r.cfg.MaxBodyBytes)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		status := http.StatusBadRequest

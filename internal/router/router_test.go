@@ -612,3 +612,31 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		t.Error("New with a malformed shard URL succeeded")
 	}
 }
+
+// TestRouterDeclaresContentLength: a replayed optimize answer declares
+// its length — the shard's for a plain forward, the spliced body's for
+// a traced one — even when it is larger than net/http's 2 KB chunking
+// buffer.
+func TestRouterDeclaresContentLength(t *testing.T) {
+	_, front, _ := testFleet(t, 1, 0)
+	var src strings.Builder
+	src.WriteString("\t.text\n")
+	for i := range 40 {
+		fmt.Fprintf(&src, "\t.type f%d,@function\nf%d:\n\ttestl %%r15d, %%r15d\n\tret\n\t.size f%d,.-f%d\n", i, i, i, i)
+	}
+	body, _ := json.Marshal(&serve.OptimizeRequest{Source: src.String(), Spec: "REDTEST"})
+	for _, query := range []string{"", "", "?trace=1"} {
+		resp, err := http.Post(front.URL+"/v1/optimize"+query, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d, %v: %s", query, resp.StatusCode, err, b)
+		}
+		if len(b) <= 2048 || resp.ContentLength != int64(len(b)) {
+			t.Errorf("%q: Content-Length %d for a %d-byte answer", query, resp.ContentLength, len(b))
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -89,9 +90,12 @@ func (q *Request) SetCache(w http.ResponseWriter, verdict string) {
 // err as the request's failure reason.
 func (q *Request) Fail(w http.ResponseWriter, status int, err error) {
 	q.Err = err.Error()
-	w.Header().Set("Content-Type", "application/json")
+	body := ErrorBody(err)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(ErrorBody(err))
+	w.Write(body)
 }
 
 // ErrorResponse is the JSON body of every error answer.

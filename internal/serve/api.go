@@ -1,16 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
+	"mao/internal/cachekey"
 	"mao/internal/check"
 	"mao/internal/flight"
 	"mao/internal/pass"
@@ -19,52 +19,13 @@ import (
 	"mao/internal/x86/decode"
 )
 
-// OptimizeRequest is the body of POST /v1/optimize.
-type OptimizeRequest struct {
-	// Name is the unit name used in diagnostics ("request.s" when
-	// empty). It appears in Diag.File and in error messages.
-	Name string `json:"name,omitempty"`
-	// Source is the AT&T-syntax assembly to optimize. Required.
-	Source string `json:"source"`
-	// Spec is the ':'-separated pass pipeline, e.g. "REDTEST:REDMOV"
-	// (mao --mao= syntax). Empty runs no passes: the unit is parsed
-	// and re-emitted canonically. The ASM pass and the dump_before /
-	// dump_after standard options are rejected — they write files on
-	// the server; the service returns assembly in the response.
-	Spec string `json:"spec,omitempty"`
-	// Options tune this request.
-	Options OptimizeOptions `json:"options,omitempty"`
-}
-
-// OptimizeOptions are the per-request knobs.
-type OptimizeOptions struct {
-	// Check runs the static verification catalog over the optimized
-	// unit and returns the diagnostics.
-	Check bool `json:"check,omitempty"`
-	// DeadlineMS overrides the server's default request deadline,
-	// capped at the server's maximum. The deadline covers queueing
-	// and execution.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// NoCache bypasses the result cache for this request (the fresh
-	// result is still stored).
-	NoCache bool `json:"no_cache,omitempty"`
-	// Explain returns per-instruction lineage (origin and last-mutator
-	// pass of every node) alongside the optimized assembly. Also
-	// settable as the explain=1 query parameter.
-	Explain bool `json:"explain,omitempty"`
-	// Verify translation-validates every pass invocation of the
-	// pipeline (see mao/internal/verify): the response carries one
-	// verdict per invocation, and any refutation appears in Diags with
-	// rule verify-equiv. Also settable as the verify=1 query parameter.
-	Verify bool `json:"verify,omitempty"`
-	// Trace returns the request's distributed span tree: "spans"
-	// (?trace=1) attaches the stitched cross-process spans, "chrome"
-	// (?trace=chrome) additionally renders Chrome trace events. Trace
-	// requests bypass the result-cache lookup — spans describe one
-	// execution, not the content-addressed result — but the trace-free
-	// result is still cached. Deliberately not part of the cache key.
-	Trace string `json:"trace,omitempty"`
-}
+// OptimizeRequest is the body of POST /v1/optimize and OptimizeOptions
+// its per-request knobs. Both live in internal/cachekey, with the one
+// decoder the daemon and the router share.
+type (
+	OptimizeRequest = cachekey.OptimizeRequest
+	OptimizeOptions = cachekey.OptimizeOptions
+)
 
 // VerifyVerdict is one pass invocation's translation-validation
 // outcome, present when options.verify was set.
@@ -79,13 +40,6 @@ type VerifyVerdict struct {
 	Refuted []string `json:"refuted,omitempty"`
 	// DurMS is the verification wall time for this invocation.
 	DurMS float64 `json:"dur_ms"`
-}
-
-func (r *OptimizeRequest) unitName() string {
-	if r.Name == "" {
-		return "request.s"
-	}
-	return r.Name
 }
 
 // OptimizeResponse is the body of a successful optimization.
@@ -180,7 +134,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := resultKey(req)
+	key := req.Key()
 	// no_cache and ?trace requests neither read the cache nor share a
 	// run: the first asked for a fresh run, the second needs its own
 	// span tree (a cached or shared answer has none to offer). Their
@@ -188,11 +142,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// degrades the cache for other callers.
 	shared := shareable(req)
 	if shared {
-		if resp, ok := s.results.get(key); ok {
-			cached := *resp
-			cached.Cached = true
+		if e, ok := s.results.get(key); ok {
 			q.SetCache(w, "hit")
-			writeJSON(w, http.StatusOK, &cached)
+			body, err := e.hitBody()
+			writeBody(w, http.StatusOK, body, err)
 			return
 		}
 	}
@@ -286,30 +239,44 @@ func (s *Server) leaderJob(c *flight.Call[jobResult], parent context.Context, re
 // Content-Type application/octet-stream is raw x86-64 machine code:
 // it is decoded and lifted to assembly here, so the rest of the
 // service — including the result-cache key — operates on the decoded
-// form.
+// form. Every other body is a JSON OptimizeRequest, read whole and
+// decoded in one pass by the decoder the router shares.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*OptimizeRequest, int, error) {
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/octet-stream") {
+	if !cachekey.JSONBody(r.Header.Get("Content-Type")) {
 		return s.decodeBinaryRequest(w, r)
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req OptimizeRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
-		}
+	body, status, err := s.readBody(w, r, "invalid request body")
+	if err != nil {
+		return nil, status, err
+	}
+	req, err := cachekey.DecodeOptimizeRequest(body)
+	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err)
 	}
 	if req.Source == "" {
 		return nil, http.StatusBadRequest, errors.New("source is required")
 	}
-	if status, err := s.validateRequest(r, &req); err != nil {
+	if status, err := s.validateRequest(r, req); err != nil {
 		return nil, status, err
 	}
-	return &req, 0, nil
+	return req, 0, nil
+}
+
+// readBody reads the whole request body, at most MaxSourceBytes, into
+// one buffer sized from its Content-Length: 413 beyond the limit (even
+// when a JSON body's first value ends inside it), 400 with the reason
+// prefixed by what on any other read failure.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, int, error) {
+	body, err := scope.ReadBody(w, r, s.cfg.MaxSourceBytes)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("%s: %w", what, err)
+	}
+	return body, 0, nil
 }
 
 // decodeBinaryRequest handles the octet-stream form of /v1/optimize:
@@ -321,15 +288,9 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Optimiz
 // blobs that decode to the same unit under the same spec share a
 // cache entry.
 func (s *Server) decodeBinaryRequest(w http.ResponseWriter, r *http.Request) (*OptimizeRequest, int, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
-	raw, err := io.ReadAll(body)
+	raw, status, err := s.readBody(w, r, "reading request body")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
-		}
-		return nil, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)
+		return nil, status, err
 	}
 	if len(raw) == 0 {
 		return nil, http.StatusBadRequest, errors.New("machine-code body is required")
@@ -430,10 +391,33 @@ func (s *Server) deadlineFor(req *OptimizeRequest) time.Duration {
 	return d
 }
 
+// writeJSON answers with v encoded as JSON.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := encodeJSON(v)
+	writeBody(w, status, body, err)
+}
+
+// writeBody answers with an encoded JSON body, or with a 500 when the
+// encoding failed. The bytes are all in hand, so the Content-Length is
+// declared: a client or router reading the answer can size its buffer
+// once, and no answer is sent chunked.
+func writeBody(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		body, status = scope.ErrorBody(err), http.StatusInternalServerError
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	w.Write(body)
+}
+
+// encodeJSON returns v encoded as one line of JSON, HTML characters
+// left unescaped.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	enc.Encode(v) // the status is already committed; encode errors only surface as a truncated body
+	err := enc.Encode(v)
+	return buf.Bytes(), err
 }

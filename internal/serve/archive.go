@@ -295,10 +295,10 @@ func (s *Server) submitArchive(ctx context.Context, client string, units []archi
 			return
 		}
 		req := &OptimizeRequest{Name: u.name, Source: u.source, Spec: proto.Spec, Options: proto.Options}
-		key := resultKey(req)
+		key := req.Key()
 		if shared {
-			if resp, ok := s.results.get(key); ok {
-				outcomes <- recordFor(i, u.name, resp, true)
+			if e, ok := s.results.get(key); ok {
+				outcomes <- recordFor(i, u.name, e.resp, true)
 				continue
 			}
 		}

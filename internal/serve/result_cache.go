@@ -4,33 +4,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mao/internal/cachekey"
 	"mao/internal/lru"
 )
 
-// resultKey builds the content address of a request: the SHA-256 of
-// the source plus every request field the response depends on. Two
-// requests with the same key are guaranteed the same response, so a
-// cached answer is exact, not approximate. The derivation itself lives
-// in internal/cachekey (golden-vector pinned) because the shard router
-// must compute the identical key to concentrate cache hits per shard.
-func resultKey(req *OptimizeRequest) string {
-	return cachekey.Key(cachekey.Request{
-		Name:    req.Name,
-		Source:  req.Source,
-		Spec:    req.Spec,
-		Check:   req.Options.Check,
-		Explain: req.Options.Explain,
-		Verify:  req.Options.Verify,
-	})
-}
-
 // resultCache is the content-addressed response cache: an LRU map
-// from resultKey to the completed response. Entries are immutable
-// once stored (handlers serialize them without copying).
+// from a request's key (OptimizeRequest.Key: the SHA-256 of the source
+// plus every request field the response depends on, so a cached answer
+// is exact, not approximate) to the completed response. Entries are
+// immutable once stored (handlers serialize them without copying).
 type resultCache struct {
 	mu      sync.Mutex
-	entries *lru.Cache[string, *OptimizeResponse] // nil when disabled
+	entries *lru.Cache[string, *cacheEntry] // nil when disabled
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -43,25 +27,47 @@ type resultCache struct {
 func newResultCache(capEntries int) *resultCache {
 	c := &resultCache{}
 	if capEntries > 0 {
-		c.entries = lru.New[string, *OptimizeResponse](capEntries)
+		c.entries = lru.New[string, *cacheEntry](capEntries)
 	}
 	return c
 }
 
-// get returns the cached response for key, refreshing its recency.
-func (c *resultCache) get(key string) (*OptimizeResponse, bool) {
+// cacheEntry is one cached response and, from its first hit on, the
+// bytes every hit answers with.
+type cacheEntry struct {
+	resp *OptimizeResponse
+	once sync.Once
+	hit  []byte
+	err  error
+}
+
+// hitBody returns the entry's hit answer: the response with Cached set,
+// encoded as writeJSON encodes it. It is encoded on the entry's first
+// hit and written as stored by every later one, so a hit pays no JSON
+// work after the first and a miss pays none at all.
+func (e *cacheEntry) hitBody() ([]byte, error) {
+	e.once.Do(func() {
+		cached := *e.resp
+		cached.Cached = true
+		e.hit, e.err = encodeJSON(&cached)
+	})
+	return e.hit, e.err
+}
+
+// get returns the cache entry for key, refreshing its recency.
+func (c *resultCache) get(key string) (*cacheEntry, bool) {
 	if c.entries == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, ok := c.entries.Get(key)
+	e, ok := c.entries.Get(key)
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return resp, ok
+	return e, ok
 }
 
 // put stores a completed response, evicting the least recently used
@@ -72,7 +78,7 @@ func (c *resultCache) put(key string, resp *OptimizeResponse) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.evictions.Add(int64(c.entries.Add(key, resp)))
+	c.evictions.Add(int64(c.entries.Add(key, &cacheEntry{resp: resp})))
 }
 
 // len returns the current entry count.

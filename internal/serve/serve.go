@@ -306,7 +306,7 @@ func (s *Server) runJob(j *job, st *relax.State) {
 		s.met.observePassSpans(res.spans)
 		s.post(j, res)
 	}
-	u, err := asm.ParseString(j.req.unitName(), j.req.Source)
+	u, err := asm.ParseString(j.req.UnitName(), j.req.Source)
 	if err != nil {
 		finish(jobResult{status: 422, err: err})
 		return
