@@ -72,13 +72,18 @@
 #               (including the worker-scaling and cache benchmarks)
 #               cannot silently rot
 #   bench regression
-#               maobench -json re-measures the repeated-relaxation,
-#               repeated-pipeline and warm-memo benchmarks and fails
-#               on a >2x ns/op regression against the checked-in
-#               BENCH_relax.json / BENCH_pipeline.json /
-#               BENCH_memo.json baselines — the guard that incremental
-#               relaxation and pipeline memoization never silently
-#               degrade back to full rebuilds
+#               maobench -json re-measures the repeated-relaxation and
+#               repeated-pipeline benchmarks and MemoWarm, a memo hit
+#               as a shard serves one (each op parses the bench unit
+#               fresh, runs edit-resubmit's spec on a warm memo and
+#               renders the unit), and fails on a >2x ns/op regression
+#               against the checked-in BENCH_relax.json /
+#               BENCH_pipeline.json / BENCH_memo.json baselines — the
+#               guard that incremental relaxation never silently
+#               degrades back to full rebuilds. A hit saves only a
+#               fifth to a third of the cold op, so MemoWarm also
+#               fails unless every function of every timed op hit
+#               the memo
 #   memo verify maobench -memo replays the corpus through the memo
 #               repeatedly and fails unless every replay is
 #               byte-identical to its cold run with a hit rate

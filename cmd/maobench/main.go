@@ -76,7 +76,7 @@ func runBenchJSON(outDir, baselineDir string) error {
 	if err != nil {
 		return err
 	}
-	memoRes, err := bench.MeasureMemoBench(pipeRes)
+	memoRes, err := bench.MeasureMemoBench()
 	if err != nil {
 		return err
 	}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
 	"mao"
+	"mao/internal/ir"
+	"mao/internal/pass"
+	"mao/internal/relax"
 )
 
 // TestConcurrentPipelines runs RunPipelineParallel from many goroutines
@@ -82,10 +84,10 @@ func TestConcurrentPipelines(t *testing.T) {
 				if got := u.String(); got != wantAsm[c] {
 					errs <- fmt.Sprintf("%v rep=%d: output differs from solo run", c, rep)
 				}
-				// RELAXCACHE counters vary with cache sharing; every
-				// real pass counter must match the solo run exactly.
+				// A shared cache must not show in the stats: every
+				// counter matches the solo run exactly.
 				got, want := st.String(), wantStats[c]
-				if stripRelaxcache(got) != stripRelaxcache(want) {
+				if got != want {
 					errs <- fmt.Sprintf("%v rep=%d: stats differ from solo run:\n got %q\nwant %q",
 						c, rep, got, want)
 				}
@@ -99,16 +101,88 @@ func TestConcurrentPipelines(t *testing.T) {
 	}
 }
 
-// stripRelaxcache drops RELAXCACHE.* lines from a stats rendering: hit
-// and miss counts legitimately depend on what other goroutines already
-// encoded into a shared cache.
-func stripRelaxcache(stats string) string {
-	var keep []string
-	for _, line := range strings.Split(stats, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "RELAXCACHE") {
-			continue
-		}
-		keep = append(keep, line)
+// interleave is a pass hook that, before the invocation at index at,
+// runs spec over a second unit through the same encoding cache: the
+// lookups of another request landing in the middle of a run, as on a
+// maod shard, whose workers share one cache.
+type interleave struct {
+	t     *testing.T
+	at    int
+	spec  string
+	src   string
+	cache *relax.Cache
+	ran   bool
+}
+
+func (h *interleave) BeforePass(_ *ir.Unit, _ string, index int) error {
+	if index != h.at {
+		return nil
 	}
-	return strings.Join(keep, "\n")
+	u, err := mao.ParseString("other.s", h.src)
+	if err != nil {
+		return err
+	}
+	mgr, err := pass.NewManager(h.spec)
+	if err != nil {
+		return err
+	}
+	mgr.Cache = h.cache
+	hits, misses := h.cache.Counters()
+	if _, err := mgr.Run(u); err != nil {
+		return err
+	}
+	if h2, m2 := h.cache.Counters(); h2 == hits && m2 == misses {
+		h.t.Error("the interleaved run made no cache lookups")
+	}
+	h.ran = true
+	return nil
+}
+
+func (h *interleave) AfterPass(*ir.Unit, string, int) error { return nil }
+
+// TestSharedCacheRunStats: a run reports the same statistics whether
+// or not another unit's pipeline uses its encoding cache between two of
+// its passes. The cache's lookups are counted by the cache alone.
+func TestSharedCacheRunStats(t *testing.T) {
+	const spec = "REDTEST:LOOP16:BRALIGN"
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("internal", "corpus", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	src, other := read("wl_164_gzip.s"), read("wl_175_vpr.s")
+	run := func(hook pass.Hook, cache *relax.Cache) (string, string) {
+		t.Helper()
+		u, err := mao.ParseString("wl_164_gzip.s", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr, err := pass.NewManager(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.Workers = 1
+		mgr.Cache = cache
+		mgr.Hook = hook
+		st, err := mgr.Run(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u.String(), st.String()
+	}
+	wantAsm, wantStats := run(nil, relax.NewCache())
+	cache := relax.NewCache()
+	h := &interleave{t: t, at: 1, spec: spec, src: other, cache: cache}
+	gotAsm, gotStats := run(h, cache)
+	if !h.ran {
+		t.Fatal("the hook never ran the second pipeline")
+	}
+	if gotAsm != wantAsm {
+		t.Error("the interleaved run changed the output")
+	}
+	if gotStats != wantStats {
+		t.Errorf("stats differ from the solo run:\n got %q\nwant %q", gotStats, wantStats)
+	}
 }

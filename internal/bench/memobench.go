@@ -9,14 +9,13 @@ import (
 	"mao/internal/corpus"
 	"mao/internal/memo"
 	"mao/internal/pass"
-	"mao/internal/relax"
 	"mao/internal/verify"
 )
 
 // This file holds the pipeline-memo benchmark and verification bodies:
-// BENCH_memo.json measures the warm repeat-pipeline against the
-// unmemoized PipelineRepeated reference, and `maobench -memo` replays
-// the synthetic corpus through a shared memo asserting hit rate and
+// BENCH_memo.json measures a memo hit on a freshly parsed unit against
+// the same work without a memo, and `maobench -memo` replays the
+// synthetic corpus through a shared memo asserting hit rate and
 // byte-identity for ci.sh.
 
 // benchMemo builds a memo salted exactly like mao.NewMemo, so the
@@ -25,61 +24,89 @@ func benchMemo() *memo.Memo {
 	return memo.New(0, pass.CatalogVersion(), check.Version, verify.Version)
 }
 
-// MemoWarm measures the warm memoized repeat-pipeline: the identical
-// workload, spec and manager configuration as PipelineRepeated, plus a
-// pipeline memo. Two warm-up runs reach steady state — the first
-// optimizes to the fixpoint and fills the memo under the pre-run
-// content, the second fills identity entries for the optimized content
-// and arms the repeat fast path — after which every timed run is
-// answered from the memo without touching the unit.
-func MemoWarm(b *testing.B) {
-	u, err := relaxBenchUnit()
-	if err != nil {
-		b.Fatal(err)
-	}
-	mgr, err := pass.NewManager("LOOP16:LSD:BRALIGN")
-	if err != nil {
-		b.Fatal(err)
-	}
-	mgr.Workers = 1
-	mgr.Cache = relax.NewCache()
-	mgr.RelaxState = relax.NewState()
-	mgr.Memo = benchMemo()
-	for i := 0; i < 2; i++ {
-		if _, err := mgr.Run(u); err != nil {
-			b.Fatal(err)
+// memoWarmSpec is the spec edit-resubmit's requests run: every pass a
+// ParallelSafe function pass, so the memo keys functions locally.
+const memoWarmSpec = "REDZEXT:REDTEST:REDMOV:ADDADD:SCHED"
+
+// MemoWarm measures a warm memo hit as a maod shard serves one: each
+// op parses the bench unit fresh, runs memoWarmSpec through a new
+// manager (one worker) on one shared memo, and renders the unit. One
+// untimed op fills the memo; every timed op should then hit every
+// function. The memo-hit-rate metric is the share of timed ops that
+// did.
+func MemoWarm(b *testing.B) { memoWarm(b, benchMemo()) }
+
+// MemoWarmReference is MemoWarm without a memo: every op runs the
+// pipeline cold.
+func MemoWarmReference(b *testing.B) { memoWarm(b, nil) }
+
+func memoWarm(b *testing.B, m *memo.Memo) {
+	name, src := relaxBenchSource()
+	op := func() (hit bool, err error) {
+		u, err := asm.ParseString(name, src)
+		if err != nil {
+			return false, err
 		}
+		mgr, err := pass.NewManager(memoWarmSpec)
+		if err != nil {
+			return false, err
+		}
+		mgr.Workers = 1
+		mgr.Memo = m
+		st, err := mgr.Run(u)
+		if err != nil {
+			return false, err
+		}
+		_ = u.String()
+		fns := len(u.Functions())
+		return fns > 0 && st.Get("MEMO", "functions") == fns, nil
 	}
+	if _, err := op(); err != nil { // fill the memo
+		b.Fatal(err)
+	}
+	hits := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Run(u); err != nil {
+		hit, err := op()
+		if err != nil {
 			b.Fatal(err)
+		}
+		if hit {
+			hits++
 		}
 	}
 	b.StopTimer()
-	h, m := mgr.Memo.Counters()
-	if h+m > 0 {
-		b.ReportMetric(float64(h)/float64(h+m), "memo-hit-rate")
+	if m != nil {
+		b.ReportMetric(float64(hits)/float64(b.N), "memo-hit-rate")
 	}
 }
 
-// MeasureMemoBench runs the warm-memo benchmark through
-// testing.Benchmark and records the unmemoized repeat-pipeline result
-// as the reference, yielding the memoization speedup.
-func MeasureMemoBench(pipeline *BenchResult) (*BenchResult, error) {
+// MeasureMemoBench runs the warm-memo benchmark and its memo-less
+// reference through testing.Benchmark, yielding the memoization
+// speedup. It fails unless every function of every timed op hit the
+// memo: the speedup is well under 2x, so the ns/op regression check
+// alone would not notice the memo switched off.
+func MeasureMemoBench() (*BenchResult, error) {
 	res := testing.Benchmark(MemoWarm)
 	if res.N == 0 {
 		return nil, fmt.Errorf("MemoWarm benchmark failed to run")
 	}
-	r := &BenchResult{
-		Benchmark:   "MemoWarm",
-		NsPerOp:     float64(res.NsPerOp()),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
+	if rate := res.Extra["memo-hit-rate"]; rate != 1 {
+		return nil, fmt.Errorf("MemoWarm: %.3f of timed ops hit the memo in every function, want all", rate)
 	}
-	if pipeline != nil && r.NsPerOp > 0 {
-		r.ReferenceNsPerOp = pipeline.NsPerOp
+	ref := testing.Benchmark(MemoWarmReference)
+	if ref.N == 0 {
+		return nil, fmt.Errorf("MemoWarmReference benchmark failed to run")
+	}
+	r := &BenchResult{
+		Benchmark:        "MemoWarm",
+		NsPerOp:          float64(res.NsPerOp()),
+		BytesPerOp:       res.AllocedBytesPerOp(),
+		AllocsPerOp:      res.AllocsPerOp(),
+		ReferenceNsPerOp: float64(ref.NsPerOp()),
+	}
+	if r.NsPerOp > 0 {
 		r.Speedup = r.ReferenceNsPerOp / r.NsPerOp
 	}
 	return r, nil

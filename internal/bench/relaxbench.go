@@ -16,13 +16,16 @@ import (
 // suite) and cmd/maobench -json (via testing.Benchmark) run the exact
 // same workloads.
 
-// relaxBenchUnit builds the unit the relaxation benchmarks edit: one
-// mid-size generated workload, full of branches, labels and alignment
-// directives.
-func relaxBenchUnit() (*ir.Unit, error) {
+// relaxBenchSource returns the name and source of the unit the
+// relaxation benchmarks edit: one mid-size generated workload, full of
+// branches, labels and alignment directives.
+func relaxBenchSource() (name, src string) {
 	w := corpus.Spec2000Int(0.3)[0]
-	return asm.ParseString(w.Name+".s", corpus.Generate(w))
+	return w.Name + ".s", corpus.Generate(w)
 }
+
+// relaxBenchUnit parses relaxBenchSource.
+func relaxBenchUnit() (*ir.Unit, error) { return asm.ParseString(relaxBenchSource()) }
 
 // RelaxRepeated measures the steady-state edit→relax cycle on the
 // fragment engine: insert a probe NOP near the end of the unit, relax,

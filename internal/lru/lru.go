@@ -1,6 +1,6 @@
 // Package lru is the bounded least-recently-used map behind every
-// cache tier in the module: the relaxation cache's node and content
-// tiers, the pipeline memo, and maod's result cache.
+// cache in the module: the relaxation encoding cache, the pipeline
+// memo, and maod's result cache.
 //
 // A Cache does no locking of its own. Each caller already serializes
 // its cache under a lock it holds for other reasons (the counters and
@@ -66,25 +66,8 @@ func (c *Cache[K, V]) Add(k K, v V) (evicted int) {
 	return evicted
 }
 
-// Remove drops k, reporting whether it was present. Removal is not an
-// eviction.
-func (c *Cache[K, V]) Remove(k K) bool {
-	e, ok := c.items[k]
-	if ok {
-		c.unlink(e)
-		delete(c.items, k)
-	}
-	return ok
-}
-
 // Len returns the number of entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
-
-// Clear drops every entry.
-func (c *Cache[K, V]) Clear() {
-	clear(c.items)
-	c.root.prev, c.root.next = &c.root, &c.root
-}
 
 // touch makes e the most recently used entry.
 func (c *Cache[K, V]) touch(e *entry[K, V]) {

@@ -69,63 +69,6 @@ func TestAddRefreshesExistingKey(t *testing.T) {
 	}
 }
 
-// TestRemove: Remove drops exactly one key, reports presence, and a
-// removed key frees its slot without counting as an eviction.
-func TestRemove(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	if !c.Remove("a") {
-		t.Fatal("Remove(a) reported absent")
-	}
-	if c.Remove("a") {
-		t.Fatal("second Remove(a) reported present")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a still resident after Remove")
-	}
-	if n := c.Add("c", 3); n != 0 {
-		t.Errorf("Add into the freed slot evicted %d, want 0", n)
-	}
-	if got := keys(c, "a", "b", "c"); got != "bc" {
-		t.Errorf("resident %q, want bc", got)
-	}
-	// Removing the most and least recent entries keeps the list sound.
-	c.Remove("c")
-	c.Remove("b")
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after removing everything", c.Len())
-	}
-	c.Add("d", 4)
-	if got := keys(c, "b", "c", "d"); got != "d" {
-		t.Errorf("resident %q, want d", got)
-	}
-}
-
-// TestClear: Clear empties the cache and leaves it usable with its
-// bound intact.
-func TestClear(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after Clear", c.Len())
-	}
-	if got := keys(c, "a", "b"); got != "" {
-		t.Fatalf("resident %q after Clear", got)
-	}
-	if n := c.Add("c", 3) + c.Add("d", 4); n != 0 {
-		t.Errorf("refilling to the bound evicted %d", n)
-	}
-	if n := c.Add("e", 5); n != 1 {
-		t.Errorf("Add past the bound after Clear evicted %d, want 1", n)
-	}
-	if got := keys(c, "c", "d", "e"); got != "de" {
-		t.Errorf("resident %q, want de", got)
-	}
-}
-
 // TestEvictedCounts: the counts Add returns sum to exactly the entries
 // that left through the bound.
 func TestEvictedCounts(t *testing.T) {

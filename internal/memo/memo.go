@@ -269,12 +269,6 @@ func (m *Memo) Len() int {
 	return m.entries.Len()
 }
 
-// CountHits adds n probe hits to the counters on behalf of a caller
-// that short-circuited the content path (the pass manager's
-// version-revalidation fast path answers repeat runs without
-// recomputing fingerprints, but they are memo hits all the same).
-func (m *Memo) CountHits(n int) { m.hits.Add(uint64(n)) }
-
 // Plan holds the per-function fingerprints of one unit under one
 // pipeline configuration, computed by NewPlan before a run and
 // consumed by Lookup (before) and Fill (after). A Plan is tied to the

@@ -186,37 +186,41 @@ func TestMemoInvalidation(t *testing.T) {
 	}
 }
 
-// TestMemoRepeatFastPath: repeated runs over the same unedited unit
-// through one manager return identical stats without touching the
-// unit; an edit defeats the fast path.
-func TestMemoRepeatFastPath(t *testing.T) {
+// TestMemoRepeatRun: a repeat run over the same unedited unit takes
+// the content path like any other run. Once the second run has filled
+// entries for the optimized content, the third hits every function,
+// splices nothing and leaves the unit untouched; an edit defeats the
+// lookup.
+func TestMemoRepeatRun(t *testing.T) {
 	m := memo.New(0, "v1")
 	mgr := newManager(t, "REDTEST:REDMOV", m)
 	u := parse(t, srcTwo)
 	if _, err := mgr.Run(u); err != nil { // cold: optimizes + fills
 		t.Fatal(err)
 	}
-	s2, err := mgr.Run(u) // fixpoint: fills identity entries, remembers
-	if err != nil {
+	if _, err := mgr.Run(u); err != nil { // fixpoint: fills identity entries
 		t.Fatal(err)
 	}
 	want := u.String()
 	verBefore := u.List.Version()
-	s3, err := mgr.Run(u) // fast path: no re-fingerprinting, no edits
+	s3, err := mgr.Run(u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.List.Version() != verBefore {
-		t.Fatal("fast-path run mutated the unit")
+		t.Fatal("repeat run mutated the unit")
 	}
 	if u.String() != want {
-		t.Fatal("fast-path run changed the output")
+		t.Fatal("repeat run changed the output")
 	}
-	if s2.String() != s3.String() {
-		t.Fatalf("fast-path stats differ:\n%s\nvs\n%s", s2, s3)
+	if got, fns := s3.Get("MEMO", "functions"), len(u.Functions()); got != fns {
+		t.Fatalf("repeat run hit %d functions, want all %d:\n%s", got, fns, s3)
 	}
-	// An edit bumps the list version and must defeat both the fast
-	// path and the content lookup (the edited content has no entry).
+	if got := s3.Get("MEMO", "spliced"); got != 0 {
+		t.Fatalf("repeat run spliced %d spans, want 0", got)
+	}
+	// An edit must defeat the content lookup (the edited content has
+	// no entry).
 	n := ir.DirectiveNode(".p2align", "4")
 	u.List.InsertBefore(n, u.List.Back())
 	s4, err := mgr.Run(u)

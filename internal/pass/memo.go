@@ -15,9 +15,9 @@ import (
 // This file wires the content-addressed pipeline memo (internal/memo)
 // into the manager. A memoized manager fingerprints the unit's
 // functions before running; when every function hits, the pipeline is
-// skipped and the memoized optimized spans are spliced in as cloned
-// IR — byte-identical to a cold run, which the differential suites
-// pin across corpus × specs × worker counts.
+// skipped and the memoized optimized spans are spliced in, re-parsed
+// from their stored text — byte-identical to a cold run, which the
+// differential suites pin across corpus × specs × worker counts.
 
 // Effectful marks passes whose invocation has effects outside the
 // unit's IR — file emission (ASM), diagnostic output (CHECK). Their
@@ -46,30 +46,12 @@ func CatalogVersion() string {
 	return "catalog/" + hex.EncodeToString(h.Sum(nil))
 }
 
-// memoSeen records the outcome of the last memoized run that left the
-// unit's content untouched, keyed by the list version. While the
-// version is unchanged, re-running the pipeline is provably a no-op
-// (every list edit — structural or reported via BumpVersion — bumps
-// it; unnotified in-place edits are outside the IR mutation contract,
-// exactly as for incremental relaxation), so repeat runs return
-// immediately with a copy of the recorded statistics.
-type memoSeen struct {
-	unit    *ir.Unit
-	version int64
-	nfns    int
-	stats   map[string]map[string]int
-}
-
-// memoState is the manager's lazily computed memoization config plus
-// the repeat-run record.
+// memoState is the manager's lazily computed memoization config.
 type memoState struct {
 	once      sync.Once
 	signature string // canonical pipeline spec baked into keys
 	enabled   bool   // no effectful passes, no dump options
 	local     bool   // every pass is a ParallelSafe FuncPass
-
-	mu   sync.Mutex
-	last *memoSeen
 }
 
 // memoConfig resolves (and caches) whether this pipeline is
@@ -136,44 +118,4 @@ func (m *Manager) memoPlan(u *ir.Unit) *memo.Plan {
 		return nil
 	}
 	return m.Memo.NewPlan(u, sig, local)
-}
-
-// memoFast answers a repeat run over the same, unedited unit from the
-// last recorded outcome: same unit pointer, same list version — the
-// content cannot have changed, so neither can the result.
-func (m *Manager) memoFast(u *ir.Unit) (*Stats, bool) {
-	st := &m.memoState
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.last == nil || st.last.unit != u || st.last.version != u.List.Version() {
-		return nil, false
-	}
-	m.Memo.CountHits(st.last.nfns)
-	out := NewStats()
-	for p, kv := range st.last.stats {
-		for k, v := range kv {
-			out.Add(p, k, v)
-		}
-	}
-	return out, true
-}
-
-// memoRemember records this run's outcome for the repeat-run fast
-// path. Only runs that left the unit's version untouched qualify —
-// the caller checks that.
-func (m *Manager) memoRemember(u *ir.Unit, nfns int, stats *Stats) {
-	st := &m.memoState
-	st.mu.Lock()
-	st.last = &memoSeen{unit: u, version: u.List.Version(), nfns: nfns, stats: stats.Map()}
-	st.mu.Unlock()
-}
-
-// memoForget drops the repeat-run record (the unit changed during the
-// run, so the record would never match anyway; dropping it keeps the
-// manager from pinning the unit).
-func (m *Manager) memoForget() {
-	st := &m.memoState
-	st.mu.Lock()
-	st.last = nil
-	st.mu.Unlock()
 }

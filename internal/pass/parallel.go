@@ -53,10 +53,6 @@ func funcNodeCount(f *ir.Function) int {
 //     erroring pipeline leaves the unit in an unspecified state either
 //     way.)
 //
-// Cache coherence: whenever a function's RunFunc reports a change, the
-// function's span is invalidated in the manager's relaxation cache
-// before the pipeline proceeds.
-//
 // Cancellation: once runCtx is done no further function is started
 // (sequential path) or claimed (parallel path); functions already in
 // flight run to completion, and the context error is reported with
@@ -105,9 +101,6 @@ func (m *Manager) runFuncPass(runCtx context.Context, u *ir.Unit, p FuncPass, ct
 					Parent:      invSpan,
 				})
 				sink.Merge(ctx.Stats)
-			}
-			if changed {
-				m.Cache.InvalidateFunction(f)
 			}
 			if err != nil {
 				return fmt.Errorf("%s[%d] on %s: %w", name, idx, f.Name, err)
@@ -211,9 +204,6 @@ func (m *Manager) runFuncPass(runCtx context.Context, u *ir.Unit, p FuncPass, ct
 			m.Tracer.Add(r.span)
 		}
 		ctx.Stats.Merge(r.stats)
-		if r.changed {
-			m.Cache.InvalidateFunction(f)
-		}
 		if r.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("%s[%d] on %s: %w", name, idx, f.Name, r.err)
 		}

@@ -499,11 +499,9 @@ type Manager struct {
 
 	// Cache, when non-nil, memoizes position-independent instruction
 	// encodings across the relaxations the pipeline (and its passes)
-	// perform. The manager enforces the invalidation protocol: after
-	// a FuncPass reports changing a function, that function's span is
-	// invalidated; after a UnitPass reports a change, the whole node
-	// tier is. Run records the per-run hit/miss deltas in the
-	// returned Stats under the pseudo-pass RELAXCACHE.
+	// perform. It is keyed on instruction text, so it needs no
+	// invalidation and may be shared by concurrent runs; its own
+	// counters are the only record of its hits and misses.
 	Cache *relax.Cache
 
 	// RelaxState, when non-nil, carries fragment-based relaxation
@@ -534,8 +532,7 @@ type Manager struct {
 	// pseudo-pass MEMO in their Stats instead of per-pass counters.
 	Memo *memo.Memo
 
-	// memoState caches the pipeline's memoizability and the
-	// repeat-run record backing the version fast path.
+	// memoState caches the pipeline's memoizability.
 	memoState memoState
 
 	// Tracer, when non-nil, collects structured spans: one for the
@@ -587,22 +584,14 @@ func (m *Manager) RunContext(runCtx context.Context, u *ir.Unit) (*Stats, error)
 		runCtx = context.Background()
 	}
 	stats := NewStats()
-	baseHits, baseMisses := m.Cache.Counters()
 
-	// Memo consult. The version fast path answers a repeat run over
-	// the same, unedited unit without even re-fingerprinting it; the
-	// content path computes per-function fingerprints and, when every
-	// function hits, splices the memoized spans instead of running the
+	// Memo consult: compute per-function fingerprints and, when every
+	// function hits, splice the memoized spans instead of running the
 	// pipeline. Hooked runs bypass the memo entirely: the certifier
 	// and validator must observe every invocation.
 	var plan *memo.Plan
 	memoHit := false
-	startVersion := int64(0)
 	if m.Memo != nil && m.Hook == nil {
-		if s, ok := m.memoFast(u); ok {
-			return s, nil
-		}
-		startVersion = u.List.Version()
 		plan = m.memoPlan(u)
 	}
 
@@ -738,9 +727,6 @@ func (m *Manager) RunContext(runCtx context.Context, u *ir.Unit) (*Stats, error)
 			if err != nil {
 				return stats, fmt.Errorf("%s[%d]: %w", name, idx, err)
 			}
-			if changed {
-				m.Cache.InvalidateAll()
-			}
 		case FuncPass:
 			err := m.runFuncPass(runCtx, u, p, ctx, idx, invSpan)
 			// Function spans carry the per-function stats; the
@@ -762,23 +748,8 @@ func (m *Manager) RunContext(runCtx context.Context, u *ir.Unit) (*Stats, error)
 			return stats, err
 		}
 	}
-	if m.Cache != nil {
-		hits, misses := m.Cache.Counters()
-		stats.Add("RELAXCACHE", "hits", int(hits-baseHits))
-		stats.Add("RELAXCACHE", "misses", int(misses-baseMisses))
-	}
-	if plan != nil {
-		if !memoHit {
-			m.Memo.Fill(plan, u)
-		}
-		// A run that left the unit's version untouched proved the
-		// pipeline is a no-op on this content; remember it so repeat
-		// runs skip even the fingerprinting.
-		if u.List.Version() == startVersion {
-			m.memoRemember(u, plan.Functions(), stats)
-		} else {
-			m.memoForget()
-		}
+	if plan != nil && !memoHit {
+		m.Memo.Fill(plan, u)
 	}
 	return stats, nil
 }

@@ -23,7 +23,10 @@ func BenchmarkRelaxRepeatedReference(b *testing.B) { bench.RelaxRepeatedReferenc
 // one unit through one manager with a persistent relaxation state.
 func BenchmarkPipelineRepeated(b *testing.B) { bench.PipelineRepeated(b) }
 
-// BenchmarkMemoWarm is BenchmarkPipelineRepeated plus a pipeline memo:
-// after warm-up, every run is answered from the memo. The ratio of the
-// two is the memoization speedup recorded in BENCH_memo.json.
+// BenchmarkMemoWarm is a memo hit as a shard serves one: parse the
+// unit fresh, run edit-resubmit's spec on a warm shared memo, render.
 func BenchmarkMemoWarm(b *testing.B) { bench.MemoWarm(b) }
+
+// BenchmarkMemoWarmReference is the same op without a memo. The ratio
+// of the two is the memoization speedup recorded in BENCH_memo.json.
+func BenchmarkMemoWarmReference(b *testing.B) { bench.MemoWarmReference(b) }

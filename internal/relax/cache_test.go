@@ -87,9 +87,9 @@ func TestCacheHitRateSecondRun(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation: after an in-place instruction mutation plus
-// the protocol's InvalidateFunction call, relaxation re-encodes the
-// changed instruction rather than serving stale bytes.
+// TestCacheInvalidation: an instruction mutated in place, with no
+// call into the cache, re-encodes through the shared cache to its new
+// bytes. The key is the instruction's text, so nothing can go stale.
 func TestCacheInvalidation(t *testing.T) {
 	u := parse(t, cacheSrc)
 	c := NewCache()
@@ -101,9 +101,8 @@ func TestCacheInvalidation(t *testing.T) {
 	target := f.Instructions()[2] // movl $5, %eax
 	before := string(l1.Bytes(target))
 
-	// Mutate in place, as passes do, then invalidate the span.
+	// Mutate in place, as passes do.
 	target.Inst.Args[0].Imm = 7
-	c.InvalidateFunction(f)
 
 	l2, err := Relax(u, &Options{Cache: c})
 	if err != nil {
@@ -122,39 +121,14 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestCacheContentTierSurvivesInvalidateAll: the content tier is keyed
-// on instruction text, so InvalidateAll still leaves repeated idioms
-// served from cache.
-func TestCacheContentTierSurvivesInvalidateAll(t *testing.T) {
-	u := parse(t, cacheSrc)
-	c := NewCache()
-	if _, err := Relax(u, &Options{Cache: c}); err != nil {
-		t.Fatal(err)
-	}
-	c.InvalidateAll()
-	h0, m0 := c.Counters()
-	if _, err := Relax(u, &Options{Cache: c}); err != nil {
-		t.Fatal(err)
-	}
-	h1, m1 := c.Counters()
-	if m1 != m0 {
-		t.Errorf("content tier should have absorbed all lookups, missed %d", m1-m0)
-	}
-	if h1 == h0 {
-		t.Error("no hits after InvalidateAll")
-	}
-}
-
 // TestNilCacheSafe: every method of a nil *Cache is a no-op.
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache
-	c.InvalidateAll()
-	c.InvalidateFunction(nil)
 	if h, m := c.Counters(); h != 0 || m != 0 {
 		t.Error("nil counters nonzero")
 	}
-	if c.HitRate() != 0 {
-		t.Error("nil hit rate nonzero")
+	if c.HitRate() != 0 || c.Len() != 0 || c.Evictions() != 0 {
+		t.Error("nil hit rate, length or evictions nonzero")
 	}
 	u := parse(t, cacheSrc)
 	if _, err := Relax(u, &Options{Cache: c}); err != nil {
@@ -172,39 +146,33 @@ func TestBranchesNeverCached(t *testing.T) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Only u's nodes were ever offered to the cache, so probing each of
-	// its branches covers every node-tier key a branch could have.
 	for _, n := range findInsts(u) {
 		if op := n.Inst.Op; op == x86.OpJCC || op == x86.OpJMP {
-			if _, ok := c.node.Get(n); ok {
-				t.Errorf("branch %v found in the node tier", n.Inst)
-			}
-			if _, ok := c.content.Get(n.Inst.String()); ok {
-				t.Errorf("branch %v found in the content tier", n.Inst)
+			if _, ok := c.entries.Get(n.Inst.String()); ok {
+				t.Errorf("branch %v found in the cache", n.Inst)
 			}
 		}
 	}
-	if _, ok := c.content.Get(""); ok {
-		t.Error("empty content key")
+	if _, ok := c.entries.Get(""); ok {
+		t.Error("empty key")
 	}
 }
 
-// TestCacheBounded: the tiers never exceed their configured caps, the
-// caps evict LRU-first, and an evicting cache still produces exactly
+// TestCacheBounded: the cache never exceeds its configured cap, the
+// cap evicts LRU-first, and an evicting cache still produces exactly
 // the uncached layout (eviction forgets, it never corrupts).
 func TestCacheBounded(t *testing.T) {
 	u := parse(t, cacheSrc)
-	c := NewCacheLimits(4, 2)
+	c := NewCacheLimits(0, 2)
 	bounded, err := Relax(u, &Options{Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, contents := c.Len()
-	if nodes > 4 || contents > 2 {
-		t.Errorf("tier sizes %d/%d exceed caps 4/2", nodes, contents)
+	if n := c.Len(); n > 2 {
+		t.Errorf("%d entries exceed the cap of 2", n)
 	}
 	if c.Evictions() == 0 {
-		t.Error("tiny caps over the fixture must evict")
+		t.Error("a tiny cap over the fixture must evict")
 	}
 	// Compare the bounded-cache layout against a fresh uncached one.
 	u2 := parse(t, cacheSrc)
@@ -226,7 +194,7 @@ func TestCacheBounded(t *testing.T) {
 	}
 }
 
-// TestCacheDefaultsNeverEvictOnCorpusUnit: the default caps are sized
+// TestCacheDefaultsNeverEvictOnCorpusUnit: the default cap is sized
 // so one-shot pipelines over a unit of this scale never evict.
 func TestCacheDefaultsNeverEvictOnCorpusUnit(t *testing.T) {
 	u := parse(t, cacheSrc)
@@ -241,11 +209,8 @@ func TestCacheDefaultsNeverEvictOnCorpusUnit(t *testing.T) {
 	}
 }
 
-// TestCacheLRUOrder: with a content cap of 2, touching entry A keeps
-// it resident while the untouched entry is evicted. The node cap of 1
-// forces every lookup through the content tier (a node-tier hit
-// deliberately skips content recency — it would cost the string key
-// the node tier exists to avoid).
+// TestCacheLRUOrder: with a cap of 2, touching entry A keeps it
+// resident while the untouched entry is evicted.
 func TestCacheLRUOrder(t *testing.T) {
 	u := parse(t, cacheSrc)
 	insts := findInsts(u)
@@ -267,7 +232,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	if len(cacheable) < 3 {
 		t.Skipf("fixture has only %d distinct cacheable instructions", len(cacheable))
 	}
-	c := NewCacheLimits(1, 2)
+	c := NewCacheLimits(0, 2)
 	ctx := &encode.Ctx{}
 	enc := func(n *ir.Node) {
 		t.Helper()
@@ -275,16 +240,60 @@ func TestCacheLRUOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	enc(cacheable[0]) // content: {0}
-	enc(cacheable[1]) // content: {0,1}
+	enc(cacheable[0]) // {0}
+	enc(cacheable[1]) // {0,1}
 	enc(cacheable[0]) // refresh 0 → LRU order 1,0
 	enc(cacheable[2]) // evicts 1 → {0,2}
 	c.mu.Lock()
-	_, has0 := c.content.Get(cacheable[0].Inst.String())
-	_, has1 := c.content.Get(cacheable[1].Inst.String())
-	_, has2 := c.content.Get(cacheable[2].Inst.String())
+	_, has0 := c.entries.Get(cacheable[0].Inst.String())
+	_, has1 := c.entries.Get(cacheable[1].Inst.String())
+	_, has2 := c.entries.Get(cacheable[2].Inst.String())
 	c.mu.Unlock()
 	if !has0 || has1 || !has2 {
 		t.Errorf("LRU order wrong: have0=%v have1=%v have2=%v (want t,f,t)", has0, has1, has2)
+	}
+}
+
+// TestCacheHitNoAllocs: a hit on a node the cache has never seen,
+// whose text is cached and at most 32 bytes long, allocates nothing:
+// the key is rendered into a stack buffer and looked up in place.
+func TestCacheHitNoAllocs(t *testing.T) {
+	u := parse(t, cacheSrc)
+	var inst *x86.Inst
+	for _, n := range findInsts(u) {
+		if encode.PositionIndependent(n.Inst) && n.Inst.Op == x86.OpMOV {
+			inst = n.Inst
+			break
+		}
+	}
+	if inst == nil {
+		t.Fatal("fixture has no position-independent mov")
+	}
+	if l := len(inst.String()); l > 32 {
+		t.Fatalf("%q is %d bytes, want at most 32", inst, l)
+	}
+	c := NewCache()
+	ctx := &encode.Ctx{}
+	if _, err := encodeCached(c, ir.InstNode(inst.Clone()), ctx); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	fresh := make([]*ir.Node, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range fresh {
+		fresh[i] = ir.InstNode(inst.Clone())
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		n := fresh[next]
+		next++
+		if _, err := encodeCached(c, n, ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a hit on a fresh node allocates %.1f times, want 0", allocs)
+	}
+	if h, m := c.Counters(); h != runs+1 || m != 1 {
+		t.Errorf("counters %d hits, %d misses; want %d, 1", h, m, runs+1)
 	}
 }

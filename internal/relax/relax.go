@@ -87,8 +87,7 @@ type Options struct {
 	// laid out independently.
 	Base int64
 	// Cache, when non-nil, memoizes position-independent instruction
-	// encodings across iterations and across Relax calls. See Cache
-	// for the invalidation protocol.
+	// encodings across iterations and across Relax calls.
 	Cache *Cache
 	// State, when non-nil, carries fragment state across Relax calls:
 	// repeated relaxation of the same (possibly edited) unit rescans

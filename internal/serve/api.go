@@ -48,7 +48,7 @@ type OptimizeResponse struct {
 	// emits for the same source and spec.
 	Assembly string `json:"assembly"`
 	// Stats are the per-pass transformation counters (pass → key →
-	// count), including the RELAXCACHE pseudo-pass.
+	// count).
 	Stats map[string]map[string]int `json:"stats,omitempty"`
 	// Diags carries the static-checker diagnostics when
 	// options.check was set (empty slice = checked, clean).

@@ -182,8 +182,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	scope.WriteMetric(w, "Requests coalesced onto another request's in-flight identical run.", "counter",
 		"maod_coalesced_total", "", strconv.FormatInt(m.coalescedTotal.Load(), 10))
 
-	// Relaxation/encoding cache (the RELAXCACHE of pass.Stats),
-	// daemon-wide cumulative.
+	// Relaxation/encoding cache, daemon-wide cumulative: the only
+	// record of its lookups (run stats carry none).
 	rh, rm := s.relaxCache.Counters()
 	scope.WriteMetric(w, "Encoding-cache (RELAXCACHE) hits.", "counter",
 		"maod_relaxcache_hits_total", "", strconv.FormatInt(rh, 10))

@@ -112,9 +112,9 @@ func RunPipeline(u *Unit, spec string) (*Stats, error) {
 }
 
 // Cache memoizes position-independent instruction encodings across
-// relaxation runs. Share one cache across repeated pipelines over the
-// same unit to skip re-encoding unchanged instructions; the pass
-// manager keeps it coherent (see relax.Cache).
+// relaxation runs, keyed on instruction text. It needs no
+// invalidation, so one cache can serve any number of units and
+// concurrent pipelines (see relax.Cache).
 type Cache = relax.Cache
 
 // NewCache returns an empty relaxation/encoding cache.

@@ -115,12 +115,16 @@ func TestPipelineWorkerDeterminism(t *testing.T) {
 					t.Errorf("workers=%d: stats differ:\n%s\nvs\n%s", workers, stats, baseStats)
 				}
 			}
-			// Cached runs add only the RELAXCACHE counters.
+			// A cache shared across runs changes neither the bytes nor
+			// the stats.
 			cache := mao.NewCache()
 			for _, workers := range []int{1, 8} {
-				out, _ := run(workers, cache)
+				out, stats := run(workers, cache)
 				if out != baseOut {
 					t.Errorf("workers=%d cached: emitted assembly differs", workers)
+				}
+				if stats != baseStats {
+					t.Errorf("workers=%d cached: stats differ:\n%s\nvs\n%s", workers, stats, baseStats)
 				}
 			}
 		})
