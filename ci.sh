@@ -14,8 +14,8 @@
 #               shared encode cache, the incremental relaxation
 #               differential suite at 8 workers, the pipeline memo
 #               every worker of a shard shares, the maod service, the
-#               flight group that maod and maorouter share to
-#               coalesce identical misses, the request layer and
+#               flight group maod coalesces identical misses with, the
+#               router's one forwarding loop, the request layer and
 #               flight recorder (internal/scope) every request of both
 #               servers runs through while /debug/scope readers copy
 #               records out, the passes, whose

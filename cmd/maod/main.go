@@ -53,7 +53,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "optimization worker goroutines (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 0, "admission queue depth; beyond it requests get 429 (0 = default)")
 		cacheSize   = flag.Int("result-cache", 0, "result-cache entries, 0 = default, -1 disables")
-		pipeWorkers = flag.Int("pipeline-workers", 1, "intra-unit pass parallelism (1 = deterministic order is free)")
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = default)")
 		maxDeadline = flag.Duration("max-deadline", 0, "cap on client-requested deadlines (0 = default)")
 		maxBody     = flag.Int64("max-source-bytes", 0, "max request body size (0 = default)")
@@ -75,7 +74,6 @@ func main() {
 		Workers:            *workers,
 		QueueDepth:         *queue,
 		ResultCacheEntries: *cacheSize,
-		PipelineWorkers:    *pipeWorkers,
 		DefaultDeadline:    *deadline,
 		MaxDeadline:        *maxDeadline,
 		MaxSourceBytes:     *maxBody,

@@ -11,11 +11,12 @@
 // /readyz; a request whose shard is down is retried once on the next
 // shard in ring order.
 //
-// Concurrent identical optimize requests coalesce onto one shard
-// forward: the followers replay the leader's buffered response and
-// report X-Mao-Cache: coalesced in the response header, the access
-// log, and the flight recorder. Requests with no_cache or ?trace=
-// never coalesce.
+// The router only routes, fails over and splices its hop span into
+// traced answers: the result cache, the coalescing of concurrent
+// identical requests and admission are each shard's own. Identical
+// requests hash onto one shard, which coalesces them, and the router
+// relays the shard's X-Mao-Cache verdict (hit, miss or coalesced) in
+// the response header, the access log and the flight recorder.
 //
 // Endpoints:
 //

@@ -1,6 +1,10 @@
 package cachekey
 
-import "strings"
+import (
+	"fmt"
+	"net/url"
+	"strings"
+)
 
 // OptimizeRequest is the body of POST /v1/optimize. It lives here,
 // beside the key derivation, because the daemon and the router both
@@ -53,6 +57,48 @@ type OptimizeOptions struct {
 	Trace string `json:"trace,omitempty"`
 }
 
+// Trace modes of OptimizeOptions.Trace.
+const (
+	// TraceSpans returns the stitched span tree as a "trace" array.
+	TraceSpans = "spans"
+	// TraceChrome additionally renders the tree as Chrome trace events
+	// in "trace_chrome".
+	TraceChrome = "chrome"
+)
+
+// QueryFlag reports whether a boolean query parameter is set: 1 or
+// true.
+func QueryFlag(v string) bool { return v == "1" || v == "true" }
+
+// FoldQuery folds the curl-friendly query spellings of the body
+// options into Options — ?explain and ?verify set their flag,
+// ?trace=1|true|spans|chrome the trace mode — and validates the trace
+// mode, whichever spelling set it. Both tiers call it before Key, so a
+// request routes and caches as the same request, and both read a trace
+// from either spelling.
+func (r *OptimizeRequest) FoldQuery(q url.Values) error {
+	if QueryFlag(q.Get("explain")) {
+		r.Options.Explain = true
+	}
+	if QueryFlag(q.Get("verify")) {
+		r.Options.Verify = true
+	}
+	switch v := q.Get("trace"); v {
+	case "":
+	case "1", "true", TraceSpans:
+		r.Options.Trace = TraceSpans
+	case TraceChrome:
+		r.Options.Trace = TraceChrome
+	default:
+		return fmt.Errorf("invalid trace mode %q (want 1 or chrome)", v)
+	}
+	switch r.Options.Trace {
+	case "", TraceSpans, TraceChrome:
+		return nil
+	}
+	return fmt.Errorf("invalid options.trace %q (want %q or %q)", r.Options.Trace, TraceSpans, TraceChrome)
+}
+
 // UnitName returns the name the unit is parsed under: Name, or
 // DefaultName when the request names none.
 func (r *OptimizeRequest) UnitName() string {
@@ -63,8 +109,7 @@ func (r *OptimizeRequest) UnitName() string {
 }
 
 // Key returns the request's content address: Key over its
-// response-relevant fields. Both tiers call it after folding the
-// ?explain and ?verify query spellings into Options.
+// response-relevant fields. Both tiers call it after FoldQuery.
 func (r *OptimizeRequest) Key() string {
 	return Key(Request{
 		Name:    r.Name,

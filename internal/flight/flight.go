@@ -1,9 +1,10 @@
 // Package flight implements in-flight miss coalescing: concurrent
 // requests for the same key share one run of the expensive work
-// behind it. maod shares pipeline runs keyed on the result-cache key
-// (Group[jobResult]); maorouter shares shard forwards keyed on the
-// routing key (Group[proxyResult]). The protocol is the same at both
-// tiers, so it lives here once and only the result type differs.
+// behind it. Its one user is maod, which shares pipeline runs keyed on
+// the result-cache key (Group[jobResult]) between single requests and
+// archive units alike; maorouter coalesces nothing, since identical
+// requests hash onto one shard. The protocol and its invariants live
+// here, tested apart from the server.
 //
 // The first caller to Join a key — the leader — starts the run;
 // everyone arriving while that run is in flight waits on it instead of

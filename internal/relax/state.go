@@ -52,6 +52,7 @@ type labelRef struct {
 // which all but an optional tail have address-independent sizes.
 type frag struct {
 	sect  string
+	sid   int // interned index of sect
 	head  *ir.Node
 	last  *ir.Node
 	count int
@@ -149,7 +150,9 @@ type State struct {
 	labelOwner []*frag // defining fragment; nil = not in the unit
 	liveLabels int     // count of non-nil owners
 
-	cursor map[string]int64 // per-section location counter, per sweep
+	sectIdx   map[string]int // section name → index, reset with the label tables
+	sectNames []string
+	cursor    []int64 // section index → location counter, per sweep; unknownAddr = none yet
 
 	// scanCtx and emitCtx are reusable encoder contexts (a fresh
 	// composite literal per encode call would escape to the heap and
@@ -178,7 +181,7 @@ type State struct {
 func NewState() *State {
 	s := &State{
 		labelIdx: make(map[string]int),
-		cursor:   make(map[string]int64),
+		sectIdx:  make(map[string]int),
 	}
 	s.layout.SectionEnd = make(map[string]int64)
 	s.layout.s = s
@@ -207,8 +210,7 @@ func (s *State) Hold(u *ir.Unit) {
 	clear(s.fragOf)
 	clear(s.byt)
 	s.fragOf, s.off, s.lenv, s.byt = s.fragOf[:0], s.off[:0], s.lenv[:0], s.byt[:0]
-	s.resetLabels()
-	clear(s.cursor)
+	s.resetNames()
 	clear(s.layout.SectionEnd)
 	s.u = u
 	s.valid = false
@@ -383,8 +385,10 @@ func (s *State) Relax(u *ir.Unit, opts *Options) (*Layout, error) {
 	}
 
 	clear(s.layout.SectionEnd)
-	for sec, end := range s.cursor {
-		s.layout.SectionEnd[sec] = end
+	for i, end := range s.cursor {
+		if end != unknownAddr {
+			s.layout.SectionEnd[s.sectNames[i]] = end
+		}
 	}
 
 	s.valid = true
@@ -410,7 +414,7 @@ func (s *State) rebuild(base int64) error {
 	}
 	s.frags = s.frags[:0]
 	s.newly = s.newly[:0]
-	s.resetLabels()
+	s.resetNames()
 	s.grow(u.List.IndexBound())
 	for i := range s.fragOf {
 		s.fragOf[i] = nil
@@ -516,6 +520,7 @@ func (s *State) scanRange(start, end *ir.Node, dst []*frag) ([]*frag, error) {
 			closeOpen()
 			f = s.acquire()
 			f.sect = n.Section
+			f.sid = s.internSect(n.Section)
 			f.head = n
 		}
 		id := n.Index()
@@ -620,10 +625,12 @@ func (s *State) sweep(round int) (stable bool) {
 	grew := false
 	moved := false
 	copy(s.labelPrev, s.labelCur)
-	clear(s.cursor)
+	for i := range s.cursor {
+		s.cursor[i] = unknownAddr
+	}
 	for _, f := range s.frags {
-		cur, ok := s.cursor[f.sect]
-		if !ok {
+		cur := s.cursor[f.sid]
+		if cur == unknownAddr {
 			cur = s.base
 		}
 		f.start = cur
@@ -653,7 +660,7 @@ func (s *State) sweep(round int) (stable bool) {
 			}
 			cur += int64(size)
 		}
-		s.cursor[f.sect] = cur
+		s.cursor[f.sid] = cur
 	}
 	if round == 1 {
 		// The reference's first iteration starts from an empty label
@@ -747,8 +754,13 @@ func (s *State) emit() error {
 	return nil
 }
 
-// resetLabels empties the label tables, keeping their storage.
-func (s *State) resetLabels() {
+// resetNames empties the label and section tables, keeping their
+// storage.
+func (s *State) resetNames() {
+	clear(s.sectIdx)
+	clear(s.sectNames)
+	s.sectNames = s.sectNames[:0]
+	s.cursor = s.cursor[:0]
 	clear(s.labelIdx)
 	clear(s.labelNames)
 	clear(s.labelOwner)
@@ -771,6 +783,20 @@ func (s *State) intern(name string) int {
 	s.labelCur = append(s.labelCur, 0)
 	s.labelPrev = append(s.labelPrev, 0)
 	s.labelOwner = append(s.labelOwner, nil)
+	return idx
+}
+
+// internSect returns the dense index of a section name, growing the
+// section tables on first sight. A fragment interns its section once
+// at scan, so each sweep indexes the cursors instead of hashing names.
+func (s *State) internSect(name string) int {
+	if idx, ok := s.sectIdx[name]; ok {
+		return idx
+	}
+	idx := len(s.sectNames)
+	s.sectIdx[name] = idx
+	s.sectNames = append(s.sectNames, name)
+	s.cursor = append(s.cursor, unknownAddr)
 	return idx
 }
 

@@ -9,37 +9,27 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"mao/internal/serve"
 )
 
-// coalesceFleet boots one real maod shard behind a router, counting
-// every HTTP request that actually reaches the shard's /v1/optimize.
-func coalesceFleet(t *testing.T, cfg Config) (*Router, *httptest.Server, *atomic.Int64) {
+// oneShardFleet boots one real maod shard behind a router.
+func oneShardFleet(t *testing.T, shardCfg serve.Config, cfg Config) (*Router, *httptest.Server, *httptest.Server) {
 	t.Helper()
-	s := serve.New(serve.Config{})
-	var shardHits atomic.Int64
-	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/v1/optimize" {
-			shardHits.Add(1)
-		}
-		s.Handler().ServeHTTP(w, req)
-	}))
+	s := serve.New(shardCfg)
+	shard := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { shard.Close(); s.Close() })
 	cfg.Shards = []string{shard.URL}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = -1
-	}
+	cfg.ProbeInterval = -1
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	front := httptest.NewServer(r)
 	t.Cleanup(func() { front.Close(); r.Close() })
-	return r, front, &shardHits
+	return r, front, shard
 }
 
 func postOptimize(t *testing.T, url string, req *serve.OptimizeRequest) (int, string, string) {
@@ -47,23 +37,37 @@ func postOptimize(t *testing.T, url string, req *serve.OptimizeRequest) (int, st
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/v1/optimize", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0, "", ""
 	}
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, string(b), resp.Header.Get(cacheHeader)
 }
 
-// TestRouterCoalesceSharesOneForward: K concurrent identical optimize
-// requests cross the router as ONE shard forward. The leader relays the
-// shard's "miss"; every follower replays the buffered response as
-// "coalesced" — in the response header, the access log, and the flight
-// recorder — and the bodies are byte-identical.
-func TestRouterCoalesceSharesOneForward(t *testing.T) {
+// shardMetric reads one unlabeled series from a shard's /metrics.
+func shardMetric(t *testing.T, shardURL, series string) string {
+	t.Helper()
+	resp, err := http.Get(shardURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return metricValue(string(b), series)
+}
+
+// TestRouterCoalesceSharesOneRun: K concurrent identical optimize
+// requests through the router cost the fleet ONE pipeline run — the
+// shard coalesces them. The router relays the shard's verdicts, one
+// "miss" and K-1 "coalesced", in the response header, its access log
+// and its flight recorder, and every body is byte-identical.
+func TestRouterCoalesceSharesOneRun(t *testing.T) {
 	const followers = 5
 	log := &syncBuffer{}
-	r, front, shardHits := coalesceFleet(t, Config{AccessLog: log})
+	r, front, shard := oneShardFleet(t, serve.Config{}, Config{AccessLog: log})
 	req := &serve.OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[300]:REDTEST"}
+	jobsBefore := shardMetric(t, shard.URL, "maod_batch_jobs_total")
 
 	type answer struct {
 		status  int
@@ -80,7 +84,7 @@ func TestRouterCoalesceSharesOneForward(t *testing.T) {
 			answers[i] = answer{st, body, v}
 		}(i)
 		if i == 0 {
-			// Let the leader's forward start before the followers join.
+			// Let the leader's run start before the followers join.
 			time.Sleep(75 * time.Millisecond)
 		}
 	}
@@ -106,11 +110,8 @@ func TestRouterCoalesceSharesOneForward(t *testing.T) {
 	if misses != 1 || coalesced != followers {
 		t.Errorf("verdicts: %d miss / %d coalesced, want 1/%d", misses, coalesced, followers)
 	}
-	if got := shardHits.Load(); got != 1 {
-		t.Errorf("shard saw %d forwards, want 1 (coalescing failed)", got)
-	}
-	if got := r.met.coalesced.Load(); got != followers {
-		t.Errorf("maorouter_coalesced_total = %d, want %d", got, followers)
+	if before, after := jobsBefore, shardMetric(t, shard.URL, "maod_batch_jobs_total"); before != "0" || after != "1" {
+		t.Errorf("maod_batch_jobs_total went %s -> %s, want 0 -> 1 (one pipeline run)", before, after)
 	}
 	if n := strings.Count(log.String(), `"cache":"coalesced"`); n != followers {
 		t.Errorf("access log has %d coalesced records, want %d:\n%s", n, followers, log.String())
@@ -126,81 +127,53 @@ func TestRouterCoalesceSharesOneForward(t *testing.T) {
 	}
 }
 
-// TestRouterCoalesceBypassesTraceAndNoCache: requests that carry
-// ?trace= or no_cache never share a forward — a traced response is
-// unique to its request, and no_cache explicitly asks for a fresh run.
-func TestRouterCoalesceBypassesTraceAndNoCache(t *testing.T) {
-	_, front, shardHits := coalesceFleet(t, Config{})
-	body, _ := json.Marshal(&serve.OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[150]:REDTEST"})
-
-	for _, query := range []string{"?trace=1", "?no_cache=1"} {
-		shardHits.Store(0)
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := http.Post(front.URL+"/v1/optimize"+query, "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.Header.Get(cacheHeader) == "coalesced" {
-					t.Errorf("%s request was coalesced", query)
-				}
-			}()
-		}
-		wg.Wait()
-		if got := shardHits.Load(); got != 2 {
-			t.Errorf("%s: shard saw %d forwards, want 2 (bypass failed)", query, got)
-		}
-	}
-}
-
-// TestRouterCoalesceLeaderClientGoneKeepsFollowers: the shared forward
-// runs detached from the leader's client — the leader disconnecting
-// mid-flight must not kill the answer its followers wait on.
-func TestRouterCoalesceLeaderClientGoneKeepsFollowers(t *testing.T) {
-	_, front, shardHits := coalesceFleet(t, Config{})
-	body, _ := json.Marshal(&serve.OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[400]:REDTEST"})
+// TestRouterClientGoneFreesShardWorker: an optimize request whose
+// client gives up mid-run cancels its hop, and the shard's last-waiter
+// rule then cancels the run: the shard's only worker is free again
+// within 5 s, not after the run's 10 s. The shard that answered
+// nothing is not marked down for it.
+func TestRouterClientGoneFreesShardWorker(t *testing.T) {
+	log := &syncBuffer{}
+	r, front, shard := oneShardFleet(t, serve.Config{Workers: 1}, Config{AccessLog: log})
+	body, _ := json.Marshal(&serve.OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[10000]"})
 
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	hr, _ := http.NewRequestWithContext(ctx, "POST", front.URL+"/v1/optimize", bytes.NewReader(body))
 	hr.Header.Set("Content-Type", "application/json")
-	leaderDone := make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(hr)
 		if err == nil {
 			resp.Body.Close()
 		}
-		close(leaderDone)
+		done <- err
 	}()
-	time.Sleep(75 * time.Millisecond)
 
-	type answer struct {
-		status  int
-		verdict string
-	}
-	followerDone := make(chan answer, 1)
-	go func() {
-		st, _, v := postOptimize(t, front.URL, &serve.OptimizeRequest{Source: testSource, Spec: "SLEEPTEST=ms[400]:REDTEST"})
-		followerDone <- answer{st, v}
-	}()
-	time.Sleep(100 * time.Millisecond)
-	cancel() // leader's client walks away mid-forward
-	<-leaderDone
-
-	select {
-	case a := <-followerDone:
-		if a.status != 200 || a.verdict != "coalesced" {
-			t.Errorf("follower got status %d verdict %q after leader disconnect, want 200 coalesced", a.status, a.verdict)
+	waitFor := func(what string, within time.Duration, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(within)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s not reached within %v", what, within)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("follower never answered after leader disconnect")
 	}
-	if got := shardHits.Load(); got != 1 {
-		t.Errorf("shard saw %d forwards, want 1", got)
+	waitFor("the run to start", 5*time.Second, func() bool {
+		return shardMetric(t, shard.URL, "maod_inflight") == "1"
+	})
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the abandoned request answered")
 	}
+	waitFor("the shard's worker to be freed", 5*time.Second, func() bool {
+		return shardMetric(t, shard.URL, "maod_inflight") == "0"
+	})
+	if !r.backends[0].isHealthy() {
+		t.Error("a client giving up marked its shard down")
+	}
+	waitFor("the router's access-log line", 5*time.Second, func() bool {
+		return strings.Contains(log.String(), "request abandoned")
+	})
 }

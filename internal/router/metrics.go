@@ -20,7 +20,6 @@ type routerMetrics struct {
 	retries    atomic.Int64 // forwards retried on a failover candidate
 	rebalances atomic.Int64 // shard health transitions (ownership moved)
 	unrouted   atomic.Int64 // requests refused: no shard reachable
-	coalesced  atomic.Int64 // requests that rode another request's forward
 }
 
 type shardMetrics struct {
@@ -80,8 +79,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter) {
 		"maorouter_rebalances_total", "", strconv.FormatInt(m.rebalances.Load(), 10))
 	scope.WriteMetric(w, "Requests refused because no shard was reachable (502).", "counter",
 		"maorouter_no_shard_total", "", strconv.FormatInt(m.unrouted.Load(), 10))
-	scope.WriteMetric(w, "Requests that coalesced onto another in-flight identical forward.", "counter",
-		"maorouter_coalesced_total", "", strconv.FormatInt(m.coalesced.Load(), 10))
 	scope.WriteMetric(w, "Seconds since the router started.", "gauge",
 		"maorouter_uptime_seconds", "", strconv.FormatFloat(time.Since(r.started).Seconds(), 'f', 3, 64))
 

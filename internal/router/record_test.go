@@ -46,21 +46,15 @@ func recentFlight(t *testing.T, debug http.Handler) []scope.FlightRecord {
 	return view.Records
 }
 
-// TestRequestRecordAgreement: one request through a router and a shard,
-// then a concurrent identical pair. For every request, the X-Mao-Cache
+// TestRequestRecordAgreement: a concurrent identical pair through a
+// router and a shard, then a repeat. For every request, the X-Mao-Cache
 // header, the router's and the shard's access-log lines and both flight
 // records agree on request ID, trace ID and cache verdict, and both
 // tiers identify the unlabeled client by host alone.
 func TestRequestRecordAgreement(t *testing.T) {
 	shardLog, routerLog := &syncBuffer{}, &syncBuffer{}
 	s := serve.New(serve.Config{AccessLog: shardLog})
-	handler := s.Handler()
-	// Optimize requests linger at the shard, so the pair's second
-	// request joins the first's forward at the router.
-	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		time.Sleep(300 * time.Millisecond)
-		handler.ServeHTTP(w, req)
-	}))
+	shard := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { shard.Close(); s.Close() })
 	r, err := New(Config{Shards: []string{shard.URL}, ProbeInterval: -1, AccessLog: routerLog})
 	if err != nil {
@@ -69,7 +63,9 @@ func TestRequestRecordAgreement(t *testing.T) {
 	front := httptest.NewServer(r)
 	t.Cleanup(func() { front.Close(); r.Close() })
 
-	body, _ := json.Marshal(&serve.OptimizeRequest{Name: "agree.s", Source: testSource, Spec: "REDTEST"})
+	// The run lingers, so the pair's second request joins the first's
+	// run at the shard.
+	body, _ := json.Marshal(&serve.OptimizeRequest{Name: "agree.s", Source: testSource, Spec: "SLEEPTEST=ms[300]:REDTEST"})
 	post := func() answered {
 		resp, err := http.Post(front.URL+"/v1/optimize", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -88,23 +84,18 @@ func TestRequestRecordAgreement(t *testing.T) {
 		return answered{resp.Header.Get(scope.RequestIDHeader), tc.TraceID, resp.Header.Get(scope.CacheHeader)}
 	}
 
-	answers := []answered{post()}
-	pair := make([]answered, 2)
+	answers := make([]answered, 2)
 	var wg sync.WaitGroup
-	for i := range pair {
+	for i := range answers {
 		wg.Add(1)
-		go func() { defer wg.Done(); pair[i] = post() }()
+		go func() { defer wg.Done(); answers[i] = post() }()
 		time.Sleep(75 * time.Millisecond)
 	}
 	wg.Wait()
-	answers = append(answers, pair...)
+	answers = append(answers, post())
 
-	verdicts := map[string]bool{}
-	for _, a := range answers {
-		verdicts[a.cache] = true
-	}
-	if answers[0].cache != "miss" || !verdicts["hit"] || !verdicts["coalesced"] {
-		t.Fatalf("verdicts %+v, want miss, then hit and coalesced", answers)
+	if answers[0].cache != "miss" || answers[1].cache != "coalesced" || answers[2].cache != "hit" {
+		t.Fatalf("verdicts %+v, want miss and coalesced, then hit", answers)
 	}
 
 	routerLines := map[string]scope.AccessRecord{}
@@ -123,8 +114,8 @@ func TestRequestRecordAgreement(t *testing.T) {
 	for _, rec := range recentFlight(t, s.DebugHandler()) {
 		shardFlight[rec.RequestID] = rec
 	}
-	if len(routerLines) != 3 || len(routerFlight) != 3 || len(shardLines) != 2 || len(shardFlight) != 2 {
-		t.Fatalf("router %d log lines / %d flight records, shard %d / %d; want 3/3 and 2/2",
+	if len(routerLines) != 3 || len(routerFlight) != 3 || len(shardLines) != 3 || len(shardFlight) != 3 {
+		t.Fatalf("router %d log lines / %d flight records, shard %d / %d; want 3/3 and 3/3",
 			len(routerLines), len(routerFlight), len(shardLines), len(shardFlight))
 	}
 
@@ -137,14 +128,8 @@ func TestRequestRecordAgreement(t *testing.T) {
 		if !ok || fr.TraceID != a.traceID || fr.Cache != a.cache || fr.Client != "127.0.0.1" {
 			t.Errorf("router flight record %+v disagrees with the answer %+v (client want 127.0.0.1)", fr, a)
 		}
-		sline, forwarded := shardLines[a.requestID]
-		if a.cache == "coalesced" {
-			if forwarded {
-				t.Errorf("coalesced request %s reached the shard", a.requestID)
-			}
-			continue
-		}
-		if !forwarded || sline.TraceID != a.traceID || sline.Cache != a.cache {
+		sline, ok := shardLines[a.requestID]
+		if !ok || sline.TraceID != a.traceID || sline.Cache != a.cache {
 			t.Errorf("shard log %+v disagrees with the answer %+v", sline, a)
 		}
 		sfr, ok := shardFlight[a.requestID]

@@ -14,23 +14,23 @@
 // by a factor of N — cmd/maoload's zipf mode measures exactly this
 // concentration.
 //
-// Identical in-flight misses coalesce (see coalesce.go): concurrent
-// duplicate optimize requests share a single shard forward, with the
-// followers replaying the buffered response under an
-// X-Mao-Cache: coalesced verdict — a thundering herd of one hot
-// request costs the fleet one pipeline run, total. Every optimize
-// request takes that buffered forward; everything else (archives
-// above all) streams.
+// The router only routes, fails over and splices its hop span into
+// traced answers. The result cache, the coalescing of identical
+// in-flight requests and admission are each shard's own, and the
+// shard's X-Mao-Cache verdict ("hit", "miss" or "coalesced") is relayed
+// as given: identical requests hash onto one shard, so that shard
+// coalesces them.
 //
 // Failure handling: shards are health-checked via their /readyz
 // (which flips to 503 the moment a shard starts draining) and marked
-// passively on transport errors. A request whose shard is down —
-// or whose forward dies before a response arrives — is retried once
-// on the next shard in the key's ring preference order; maod requests
-// are idempotent by construction (content-addressed, deterministic),
-// so the retry is safe. Responses are streamed through with
-// flush-per-chunk, so NDJSON archive streams stay incremental across
-// the hop.
+// passively on transport errors. A request whose shard is down — or
+// dies before its answer is relayed — is retried once on the next
+// shard in the key's ring preference order; maod requests are
+// idempotent by construction (content-addressed, deterministic), so
+// the retry is safe. Optimize answers are read whole before they are
+// relayed, so a shard dying mid-body fails over too; everything else
+// streams through with flush-per-chunk, so NDJSON archive streams stay
+// incremental across the hop.
 package router
 
 import (
@@ -43,12 +43,12 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"mao/internal/cachekey"
-	"mao/internal/flight"
 	"mao/internal/scope"
 )
 
@@ -115,9 +115,8 @@ type Router struct {
 	backends []*backend
 	client   *http.Client
 	met      *routerMetrics
-	flight   *scope.Recorder           // the last scope.FlightRing /v1/* requests
-	flights  flight.Group[proxyResult] // buffered optimize forwards, by routing key
-	proxied  http.Handler              // proxy behind the request layer
+	flight   *scope.Recorder // the last scope.FlightRing /v1/* requests
+	proxied  http.Handler    // proxy behind the request layer
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -248,52 +247,46 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// route reads a request's routing key and whether it may share a
-// buffered forward, decoding an optimize body once for both with the
-// daemon's own decoder (cachekey.DecodeOptimizeRequest), under the
-// daemon's Content-Type rule: every body that is not
-// application/octet-stream is JSON.
+// route reads a request's routing key and whether its answer carries
+// a trace, decoding an optimize body once for both with the daemon's
+// own decoder (cachekey.DecodeOptimizeRequest), under the daemon's
+// Content-Type rule: every body that is not application/octet-stream
+// is JSON.
 //
 // For such optimize requests the key is the daemon's own result-cache
 // key — cachekey.Key over (name, source, spec, option flags), with the
-// ?explain/?verify query spellings folded in exactly as the daemon
-// folds them — so a repeat request hashes onto the shard whose cache
-// holds its answer. Everything else (binary bodies the daemon decodes
-// server-side, archives, malformed bodies the shard will 4xx) routes
-// by a digest of the raw request: still deterministic — identical
-// requests still concentrate — just not aligned with a decoded-form
-// cache entry.
-//
-// A request may share a forward unless it bypasses the cache
-// (no_cache) or asks for a trace, in either query-parameter or
-// body-option spelling: a traced response is unique to its request.
-func route(req *http.Request, body []byte) (key string, shared bool) {
+// query spellings folded in by the daemon's own FoldQuery — so a
+// repeat request hashes onto the shard whose cache holds its answer,
+// and a trace asked for in either the query or the body is seen.
+// Everything else (binary bodies the daemon decodes server-side,
+// archives, malformed bodies the shard will 4xx) routes by a digest of
+// the raw request: still deterministic — identical requests still
+// concentrate — just not aligned with a decoded-form cache entry. Such
+// a request is traced when its query asks.
+func route(req *http.Request, body []byte) (key string, traced bool) {
 	q := req.URL.Query()
-	set := func(name string) bool { v := q.Get(name); return v == "1" || v == "true" }
-	shared = q.Get("trace") == "" && !set("no_cache")
 	if req.URL.Path == "/v1/optimize" && cachekey.JSONBody(req.Header.Get("Content-Type")) {
-		if o, err := cachekey.DecodeOptimizeRequest(body); err == nil {
-			shared = shared && !o.Options.NoCache && o.Options.Trace == ""
-			if o.Source != "" {
-				o.Options.Explain = o.Options.Explain || set("explain")
-				o.Options.Verify = o.Options.Verify || set("verify")
-				return o.Key(), shared
-			}
+		if o, err := cachekey.DecodeOptimizeRequest(body); err == nil && o.Source != "" && o.FoldQuery(q) == nil {
+			return o.Key(), o.Options.Trace != ""
 		}
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s:%s:%s:%d:", req.Method, req.URL.Path, req.URL.RawQuery, len(body))
 	h.Write(body)
-	return hex.EncodeToString(h.Sum(nil)), shared
+	return hex.EncodeToString(h.Sum(nil)), q.Get("trace") != ""
 }
 
 // proxy forwards req to the shard owning its routing key, retrying
 // once on the next ring candidate if the owner is down, dies before
-// answering, or is draining (503). Each forward is one MAOSCOPE hop
-// span: the shard receives the router's trace context (parented under
-// the hop). Optimize requests take the buffered forward (coalesce.go),
-// which also splices the hop span into traced responses; everything
-// else streams through the loop below.
+// its answer is relayed, or is draining (503). Each forward is one
+// MAOSCOPE hop span: the shard receives the router's trace context
+// (parented under the hop).
+//
+// An optimize answer is read whole before any of it is relayed: a
+// shard dying mid-body then fails over like one dying before it
+// answers, a traced answer gets the hop span spliced into its span
+// tree, and the answer declares its Content-Length. Every other answer
+// (archives above all) streams, committed at the shard's first answer.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	q := scope.From(req.Context())
@@ -310,28 +303,31 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	key, shared := route(req, body)
-	if req.Method == "POST" && req.URL.Path == "/v1/optimize" {
-		r.serveOptimize(w, req, q, key, shared, body, hop, start)
-		return
-	}
-
+	key, traced := route(req, body)
+	buffered := req.Method == "POST" && req.URL.Path == "/v1/optimize"
 	candidates := r.candidates(key)
 	var lastErr error
+	var failedOver string
 	for attempt, b := range candidates {
 		if attempt > 0 {
 			r.met.retries.Add(1)
 		}
 		fwdStart := time.Now()
-		resp, err := r.forward(req.Context(), req, b, body, q.ID, q.Trace.Child(hop.SpanID))
+		resp, answer, err := r.forward(req, b, body, q.ID, q.Trace.Child(hop.SpanID), buffered)
 		if err != nil {
-			// Transport-level death before a response: the shard is
-			// gone or unreachable. Mark it and try the next candidate;
-			// nothing was written to the client yet, so the retry is
-			// invisible.
+			if req.Context().Err() != nil {
+				// The client left: the shard is not at fault, and nobody
+				// waits for a retry.
+				q.Fail(w, http.StatusServiceUnavailable, errors.New("request abandoned before the answer arrived"))
+				return
+			}
+			// Transport-level death before the answer is relayed: the
+			// shard is gone or unreachable. Mark it and try the next
+			// candidate; nothing was written to the client yet, so the
+			// retry is invisible.
 			r.setHealthy(b, false, "forward failed: "+err.Error())
 			r.met.shard(b.name).errors.Add(1)
-			lastErr = err
+			lastErr, failedOver = err, b.name
 			continue
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable && attempt < len(candidates)-1 {
@@ -343,7 +339,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			r.setHealthy(b, false, "shard draining (503)")
-			lastErr = fmt.Errorf("shard %s answered 503 (draining)", b.name)
+			lastErr, failedOver = fmt.Errorf("shard %s answered 503 (draining)", b.name), b.name
 			continue
 		}
 		r.met.shard(b.name).requests.Add(1)
@@ -351,9 +347,19 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		copyHeaders(w.Header(), resp.Header)
 		q.Shard, q.Retries = b.name, attempt
 		q.SetCache(w, resp.Header.Get(scope.CacheHeader))
-		w.WriteHeader(resp.StatusCode)
-		streamBody(w, resp.Body)
-		resp.Body.Close()
+		if buffered {
+			if traced && resp.StatusCode == http.StatusOK {
+				r.finishHop(&hop, start, b.name, attempt, failedOver, lastErr)
+				answer = spliceTrace(answer, hop)
+			}
+			w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
+			w.WriteHeader(resp.StatusCode)
+			w.Write(answer)
+		} else {
+			w.WriteHeader(resp.StatusCode)
+			streamBody(w, resp.Body)
+			resp.Body.Close()
+		}
 		r.met.shard(b.name).latency.Observe(time.Since(fwdStart).Seconds())
 		return
 	}
@@ -386,24 +392,32 @@ func (r *Router) candidates(key string) []*backend {
 	return out
 }
 
-// forward sends one copy of the request to b under ctx. On the
-// streaming path ctx is the client's — a client that disconnects or
-// times out cancels the shard hop too; a buffered forward passes a
-// detached context instead, because followers may outlive the leader's
-// client. The shard sees the router's trace context — the hop span as
-// parent — so its span tree stitches under the hop.
-func (r *Router) forward(ctx context.Context, req *http.Request, b *backend, body []byte, rid string, tc scope.Context) (*http.Response, error) {
+// forward sends one copy of the request to b on the client's context:
+// a client that disconnects or times out cancels the hop too, and the
+// shard's last-waiter rule then cancels its run. The shard sees the
+// router's trace context — the hop span as parent — so its span tree
+// stitches under the hop. A buffered forward reads the answer's body
+// whole into answer (resp.Body is then empty), so a shard dying
+// mid-body is an error like one dying before it answers.
+func (r *Router) forward(req *http.Request, b *backend, body []byte, rid string, tc scope.Context, buffered bool) (resp *http.Response, answer []byte, err error) {
 	target := *b.url
 	target.Path = strings.TrimSuffix(target.Path, "/") + req.URL.Path
 	target.RawQuery = req.URL.RawQuery
-	out, err := http.NewRequestWithContext(ctx, req.Method, target.String(), bytes.NewReader(body))
+	out, err := http.NewRequestWithContext(req.Context(), req.Method, target.String(), bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out.Header = req.Header.Clone()
 	out.Header.Set(scope.RequestIDHeader, rid)
 	out.Header.Set(scope.TraceHeader, tc.Header())
-	return r.client.Do(out)
+	resp, err = r.client.Do(out)
+	if err != nil || !buffered {
+		return resp, nil, err
+	}
+	answer, err = scope.ReadAll(resp.Body, resp.ContentLength)
+	resp.Body.Close()
+	resp.Body = http.NoBody
+	return resp, answer, err
 }
 
 // copyHeaders copies the shard's response headers, leaving the

@@ -369,6 +369,80 @@ func TestRouterFailsOverDrainingShard(t *testing.T) {
 	}
 }
 
+// TestRouterArchiveFailsOver: an archive whose primary shard is dead,
+// or draining (503), streams from the successor, with one retry
+// counted — archives stream through the same failover loop as buffered
+// optimize answers.
+func TestRouterArchiveFailsOver(t *testing.T) {
+	const query = "?spec=REDTEST"
+	archiveOf := func(name string) []byte {
+		return []byte(fmt.Sprintf("maoar1 %d %d\n%s%s", len(name), len(testSource), name, testSource))
+	}
+	for _, victim := range []string{"dead", "draining"} {
+		t.Run(victim, func(t *testing.T) {
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, `{"error":"server is draining"}`, http.StatusServiceUnavailable)
+			}))
+			t.Cleanup(bad.Close)
+			s := serve.New(serve.Config{})
+			live := httptest.NewServer(s.Handler())
+			t.Cleanup(func() { live.Close(); s.Close() })
+			r, err := New(Config{Shards: []string{bad.URL, live.URL}, ProbeInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			front := httptest.NewServer(r)
+			t.Cleanup(func() { front.Close(); r.Close() })
+
+			// Archives route by a digest of the raw request, so probe
+			// the ring for one the bad shard owns.
+			var archive []byte
+			for i := 0; archive == nil && i < 4096; i++ {
+				a := archiveOf(fmt.Sprintf("a%d.s", i))
+				req := httptest.NewRequest("POST", "/v1/optimize/archive"+query, bytes.NewReader(a))
+				if r.ring.seq(routeKey(req, a))[0] == 0 {
+					archive = a
+				}
+			}
+			if archive == nil {
+				t.Fatal("the bad shard owns none of 4096 probe archives")
+			}
+			if victim == "dead" {
+				bad.Close()
+			}
+
+			resp, err := http.Post(front.URL+"/v1/optimize/archive"+query, "application/x-mao-archive", bytes.NewReader(archive))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != 200 {
+				b, _ := io.ReadAll(resp.Body)
+				t.Fatalf("status %d: %s", resp.StatusCode, b)
+			}
+			if got := resp.Header.Get("X-Mao-Shard"); got != live.URL {
+				t.Errorf("streamed by %q, want the successor %q", got, live.URL)
+			}
+			dec := json.NewDecoder(resp.Body)
+			var rec serve.ArchiveRecord
+			var trailer serve.ArchiveTrailer
+			if err := dec.Decode(&rec); err != nil || rec.Status != 200 || rec.Assembly == "" {
+				t.Errorf("record %+v, %v: want one optimized unit", rec, err)
+			}
+			if err := dec.Decode(&trailer); err != nil || !trailer.Done || trailer.OK != 1 {
+				t.Errorf("trailer %+v, %v: want done with 1 ok", trailer, err)
+			}
+			if got := r.met.retries.Load(); got != 1 {
+				t.Errorf("retries = %d, want 1", got)
+			}
+			if r.backends[0].isHealthy() {
+				t.Errorf("%s primary still marked healthy", victim)
+			}
+		})
+	}
+}
+
 // TestRouterNoShardReachable: every shard down → 502 with Retry-After,
 // counted on maorouter_no_shard_total.
 func TestRouterNoShardReachable(t *testing.T) {

@@ -3,6 +3,8 @@ package router
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
+	"time"
 
 	"mao/internal/scope"
 )
@@ -28,7 +30,24 @@ func hopSpan(tc scope.Context, rid string) scope.Span {
 	}
 }
 
-// spliceTrace inserts the hop span into a shard's ?trace= response
+// finishHop fills in the hop span once the answer is in hand: its
+// duration since the request arrived, the shard that answered, the
+// attempt, the healthy shard count and, when an earlier candidate
+// failed, which one and why.
+func (r *Router) finishHop(hop *scope.Span, start time.Time, shard string, attempt int, failedOver string, failure error) {
+	hop.DurNS = time.Since(start).Nanoseconds()
+	hop.Attrs = map[string]string{
+		"shard":   shard,
+		"attempt": strconv.Itoa(attempt + 1),
+		"healthy": strconv.Itoa(r.Healthy()),
+	}
+	if failure != nil {
+		hop.Attrs["failover_from"] = failedOver
+		hop.Attrs["failover_reason"] = failure.Error()
+	}
+}
+
+// spliceTrace inserts the hop span into a shard's traced response
 // body: the hop lands at the head of the "trace" array and, when the
 // response carries one, of "trace_chrome". On any parse trouble the
 // body passes through untouched — tracing must never break the data

@@ -28,8 +28,15 @@ func testTraceHeader() string { return testTraceID + "-" + testParentSpan }
 // inbound X-Mao-Trace and ?trace=<mode>.
 func tracedOptimize(t *testing.T, url, name, mode string) (*http.Response, *serve.OptimizeResponse) {
 	t.Helper()
-	body, _ := json.Marshal(&serve.OptimizeRequest{Name: name, Source: testSource, Spec: "REDTEST"})
-	req, _ := http.NewRequest("POST", url+"/v1/optimize?trace="+mode, bytes.NewReader(body))
+	return tracedPost(t, url+"/v1/optimize?trace="+mode, &serve.OptimizeRequest{Name: name, Source: testSource, Spec: "REDTEST"})
+}
+
+// tracedPost posts one optimize request to url with a fixed inbound
+// X-Mao-Trace.
+func tracedPost(t *testing.T, url string, o *serve.OptimizeRequest) (*http.Response, *serve.OptimizeResponse) {
+	t.Helper()
+	body, _ := json.Marshal(o)
+	req, _ := http.NewRequest("POST", url, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(scope.TraceHeader, testTraceHeader())
 	resp, err := http.DefaultClient.Do(req)
@@ -134,6 +141,25 @@ func TestRouterTraceChromeSplice(t *testing.T) {
 	ev := out.TraceChrome[0]
 	if ev.Cat != "hop" || ev.PID != 2 {
 		t.Errorf("first chrome event cat=%q pid=%d, want the router hop (cat=hop pid=2)", ev.Cat, ev.PID)
+	}
+}
+
+// TestRouterTraceSpliceBodyOption: a trace asked for in the body's
+// options, not the query, gets the hop span spliced in too, into
+// trace_chrome as well for the chrome mode.
+func TestRouterTraceSpliceBodyOption(t *testing.T) {
+	_, front, _ := testFleet(t, 1, 0)
+	for _, mode := range []string{"spans", "chrome"} {
+		_, out := tracedPost(t, front.URL+"/v1/optimize", &serve.OptimizeRequest{
+			Name: "body-" + mode + ".s", Source: testSource, Spec: "REDTEST",
+			Options: serve.OptimizeOptions{Trace: mode},
+		})
+		checkSpanTree(t, out.Trace)
+		if mode == "chrome" {
+			if len(out.TraceChrome) != len(out.Trace) || out.TraceChrome[0].Cat != "hop" {
+				t.Errorf("trace_chrome has %d events for %d spans, want the hop event first", len(out.TraceChrome), len(out.Trace))
+			}
+		}
 	}
 }
 

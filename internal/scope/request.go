@@ -58,9 +58,9 @@ type Request struct {
 	Cache   string // result-cache verdict, set with SetCache
 	Shard   string // backend that answered (router)
 	Retries int    // failover forwards (router)
-	QueueNS int64  // admission-to-pickup wait (maod)
-	// Spans is the request's span stream (maod); its invocation spans
-	// become the flight record's per-pass latency vector.
+	// Spans is the request's span stream (maod); its queue span gives
+	// the flight record's queue wait and its invocation spans the
+	// per-pass latency vector.
 	Spans []trace.Span
 	Err   string // failure reason, set with Fail
 }
@@ -197,11 +197,13 @@ func (l *Layer) record(r *http.Request, q *Request, status int, start time.Time,
 	rec.Cache = q.Cache
 	rec.Status = status
 	rec.Err = q.Err
-	rec.QueueNS = q.QueueNS
 	rec.DurNS = d.Nanoseconds()
 	rec.Retries = q.Retries
 	for _, sp := range q.Spans {
-		if sp.Kind == trace.KindInvocation {
+		switch sp.Kind {
+		case trace.KindQueue:
+			rec.QueueNS = int64(sp.Dur)
+		case trace.KindInvocation:
 			rec.Passes = append(rec.Passes, PassNS{Pass: sp.Ref.String(), DurNS: int64(sp.Dur)})
 		}
 	}

@@ -47,15 +47,6 @@ import (
 	"mao/internal/trace"
 )
 
-// Trace modes of the service's ?trace= / options.trace request knob.
-const (
-	// TraceSpans returns the stitched span tree as a "trace" array.
-	TraceSpans = "spans"
-	// TraceChrome additionally renders the tree as Chrome trace events
-	// in "trace_chrome".
-	TraceChrome = "chrome"
-)
-
 // TraceHeader is the cross-process trace-context header:
 //
 //	X-Mao-Trace: <32 hex trace ID>-<16 hex parent span ID>

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -164,22 +165,18 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	if leader {
+		// The leader publishes on every path. An admitted job's worker
+		// publishes into c, and Close runs every admitted job, so every
+		// waiter gets a result or a clean error even when the server
+		// shuts down mid-flight; a refusal becomes the shared result, so
+		// no waiter ever hangs on a run that never started.
 		j := s.leaderJob(c, r.Context(), req, key)
 		if ok, retryAfter := s.admit(j); !ok {
-			// The leader publishes on every path — a refusal becomes the
-			// shared result, so no waiter ever hangs on a run that never
-			// started.
 			if retryAfter > 0 {
 				c.Publish(jobResult{status: http.StatusTooManyRequests, err: errors.New("optimization queue is full")})
 			} else {
 				c.Publish(jobResult{status: http.StatusServiceUnavailable, err: errors.New("server is draining")})
 			}
-		} else {
-			// The publisher outlives this handler. Close drains every
-			// admitted job — j.done always receives exactly once — so
-			// every waiter gets a result or a clean error even when the
-			// server shuts down mid-flight.
-			go func() { c.Publish(<-j.done) }()
 		}
 	}
 
@@ -190,7 +187,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		q.Fail(w, statusForCtx(err), fmt.Errorf("request abandoned: %w", err))
 		return
 	}
-	q.QueueNS, q.Spans = res.queueNS, res.spans
+	q.Spans = res.spans
 	if res.err != nil {
 		if res.status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
@@ -220,17 +217,17 @@ func (s *Server) call(key string, shared bool) (c *flight.Call[jobResult], leade
 	return s.flights.Solo(), true
 }
 
-// leaderJob builds the job that runs call c. The run is detached from
-// the leader's request — followers may outlive it — but bounded by the
-// same deadline; the last waiter to leave cancels it. WithoutCancel
-// keeps the request record, whose ID stamps the spans.
+// leaderJob builds the job that runs call c and publishes its result
+// into c. The run is detached from the leader's request — followers
+// may outlive it — but bounded by the same deadline; the last waiter to
+// leave cancels it. WithoutCancel keeps the request record, whose ID
+// stamps the spans.
 func (s *Server) leaderJob(c *flight.Call[jobResult], parent context.Context, req *OptimizeRequest, key string) *job {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(parent), s.deadlineFor(req))
 	c.SetCancel(cancel)
 	col := trace.NewCollector()
 	col.TraceID = scope.From(ctx).ID
-	return &job{req: req, key: key, ctx: ctx, done: make(chan jobResult, 1),
-		col: col, admitted: col.Now()}
+	return &job{req: req, key: key, ctx: ctx, call: c, col: col, admitted: col.Now()}
 }
 
 // decodeRequest reads, parses and validates the request body. The
@@ -281,12 +278,11 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, what string) (
 
 // decodeBinaryRequest handles the octet-stream form of /v1/optimize:
 // the body is a raw .text blob, the request knobs ride in query
-// parameters (name, spec, base, check, explain, verify, no_cache,
-// deadline_ms). The blob is decoded and lifted immediately; the
-// resulting assembly becomes the request Source, so binary requests
-// share the JSON path's pipeline, queue and result cache — two
-// blobs that decode to the same unit under the same spec share a
-// cache entry.
+// parameters (queryRequest's, plus name and base). The blob is decoded
+// and lifted immediately; the resulting assembly becomes the request
+// Source, so binary requests share the JSON path's pipeline, queue and
+// result cache — two blobs that decode to the same unit under the same
+// spec share a cache entry.
 func (s *Server) decodeBinaryRequest(w http.ResponseWriter, r *http.Request) (*OptimizeRequest, int, error) {
 	raw, status, err := s.readBody(w, r, "reading request body")
 	if err != nil {
@@ -296,9 +292,9 @@ func (s *Server) decodeBinaryRequest(w http.ResponseWriter, r *http.Request) (*O
 		return nil, http.StatusBadRequest, errors.New("machine-code body is required")
 	}
 	q := r.URL.Query()
-	req := OptimizeRequest{Name: q.Get("name"), Spec: q.Get("spec")}
-	if req.Name == "" {
-		req.Name = "request.bin"
+	name := q.Get("name")
+	if name == "" {
+		name = "request.bin"
 	}
 	var base int64
 	if v := q.Get("base"); v != "" {
@@ -306,35 +302,41 @@ func (s *Server) decodeBinaryRequest(w http.ResponseWriter, r *http.Request) (*O
 			return nil, http.StatusBadRequest, fmt.Errorf("invalid base %q", v)
 		}
 	}
-	u, err := decode.ToUnit(raw, decode.UnitOptions{FileName: req.Name, Base: base})
+	u, err := decode.ToUnit(raw, decode.UnitOptions{FileName: name, Base: base})
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	req.Source = u.String()
-	for _, p := range []struct {
-		name string
-		dst  *bool
-	}{{"check", &req.Options.Check}, {"no_cache", &req.Options.NoCache}} {
-		if v := q.Get(p.name); v == "1" || v == "true" {
-			*p.dst = true
-		}
+	req, err := queryRequest(q)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
+	req.Name, req.Source = name, u.String()
+	if status, err := s.validateRequest(r, req); err != nil {
+		return nil, status, err
+	}
+	return req, 0, nil
+}
+
+// queryRequest reads the knobs the binary and archive forms carry in
+// query parameters: spec, check, no_cache and deadline_ms.
+// validateRequest folds explain, verify and trace, as for every form.
+func queryRequest(q url.Values) (*OptimizeRequest, error) {
+	req := &OptimizeRequest{Spec: q.Get("spec")}
+	req.Options.Check = cachekey.QueryFlag(q.Get("check"))
+	req.Options.NoCache = cachekey.QueryFlag(q.Get("no_cache"))
 	if v := q.Get("deadline_ms"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("invalid deadline_ms %q", v)
+			return nil, fmt.Errorf("invalid deadline_ms %q", v)
 		}
 		req.Options.DeadlineMS = ms
 	}
-	if status, err := s.validateRequest(r, &req); err != nil {
-		return nil, status, err
-	}
-	return &req, 0, nil
+	return req, nil
 }
 
 // validateRequest applies the path-independent request checks: the
 // pipeline spec, the deadline, and the query-parameter spellings of
-// the explain/verify options.
+// the explain, verify and trace options (FoldQuery).
 func (s *Server) validateRequest(r *http.Request, req *OptimizeRequest) (int, error) {
 	invs, err := pass.ParsePipeline(req.Spec)
 	if err != nil {
@@ -355,26 +357,8 @@ func (s *Server) validateRequest(r *http.Request, req *OptimizeRequest) (int, er
 	if req.Options.DeadlineMS < 0 {
 		return http.StatusBadRequest, errors.New("deadline_ms must be >= 0")
 	}
-	// ?explain=1, ?verify=1 and ?trace=1|chrome are the curl-friendly
-	// spellings of the corresponding body options.
-	if v := r.URL.Query().Get("explain"); v == "1" || v == "true" {
-		req.Options.Explain = true
-	}
-	if v := r.URL.Query().Get("verify"); v == "1" || v == "true" {
-		req.Options.Verify = true
-	}
-	if v := r.URL.Query().Get("trace"); v != "" {
-		mode, ok := parseTraceMode(v)
-		if !ok {
-			return http.StatusBadRequest, fmt.Errorf("invalid trace mode %q (want 1 or chrome)", v)
-		}
-		req.Options.Trace = mode
-	}
-	switch req.Options.Trace {
-	case "", scope.TraceSpans, scope.TraceChrome:
-	default:
-		return http.StatusBadRequest,
-			fmt.Errorf("invalid options.trace %q (want %q or %q)", req.Options.Trace, scope.TraceSpans, scope.TraceChrome)
+	if err := req.FoldQuery(r.URL.Query()); err != nil {
+		return http.StatusBadRequest, err
 	}
 	return 0, nil
 }

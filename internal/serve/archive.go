@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -163,37 +162,19 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The archive-wide spec and options, validated once for all units.
-	params := r.URL.Query()
-	proto := OptimizeRequest{Spec: params.Get("spec")}
-	for _, p := range []struct {
-		name string
-		dst  *bool
-	}{
-		{"check", &proto.Options.Check},
-		{"no_cache", &proto.Options.NoCache},
-		{"explain", &proto.Options.Explain},
-		{"verify", &proto.Options.Verify},
-	} {
-		if v := params.Get(p.name); v == "1" || v == "true" {
-			*p.dst = true
-		}
+	proto, err := queryRequest(r.URL.Query())
+	if err != nil {
+		q.Fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if v := params.Get("deadline_ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 {
-			q.Fail(w, http.StatusBadRequest, fmt.Errorf("invalid deadline_ms %q", v))
-			return
-		}
-		proto.Options.DeadlineMS = ms
-	}
-	if status, err := s.validateRequest(r, &proto); err != nil {
+	if status, err := s.validateRequest(r, proto); err != nil {
 		q.Fail(w, status, err)
 		return
 	}
 
 	// The deadline covers the whole stream: queueing and execution of
 	// every unit.
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(&proto))
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(proto))
 	defer cancel()
 
 	// The stream commits here: from now on, failures surface as
@@ -205,7 +186,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	enc.SetEscapeHTML(false)
 
 	outcomes := make(chan ArchiveRecord, len(units))
-	go s.submitArchive(ctx, q.Client, units, &proto, q.Trace, outcomes)
+	go s.submitArchive(ctx, q.Client, units, proto, q.Trace, outcomes)
 
 	trailer := ArchiveTrailer{Units: len(units)}
 	for i := 0; i < len(units); i++ {
@@ -326,7 +307,8 @@ func (s *Server) submitArchive(ctx context.Context, client string, units []archi
 			return
 		}
 		// The shared run must survive this archive's cancellation for
-		// waiters on other requests; the last waiter out cancels it.
+		// waiters on other requests; the last waiter out cancels it. Once
+		// admitted, its worker publishes into c.
 		j := s.leaderJob(c, ctx, req, key)
 		if !s.admitArchiveJob(ctx, j) {
 			<-window
@@ -338,7 +320,6 @@ func (s *Server) submitArchive(ctx context.Context, client string, units []archi
 			}
 			return
 		}
-		go func() { c.Publish(<-j.done) }()
 		go func() {
 			defer func() { <-window }()
 			wait(i, u.name, key, "miss", c)

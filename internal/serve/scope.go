@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"mao/internal/cachekey"
 	"mao/internal/scope"
 	"mao/internal/trace"
 )
@@ -10,27 +11,13 @@ import (
 // Handler wraps the mux in); the worker parents the span tree under the
 // trace context, and the handler projects it into ?trace= payloads.
 
-// parseTraceMode maps the ?trace= query parameter onto the
-// OptimizeOptions.Trace values: 1/true → "spans", chrome → "chrome".
-func parseTraceMode(q string) (string, bool) {
-	switch q {
-	case "":
-		return "", true
-	case "1", "true", "spans":
-		return scope.TraceSpans, true
-	case "chrome":
-		return scope.TraceChrome, true
-	}
-	return "", false
-}
-
 // traceResponse clones resp with the request's stitched span tree
 // attached (the cached copy stays trace-free: spans belong to one
 // execution, not to the content-addressed result).
 func traceResponse(resp *OptimizeResponse, spans []trace.Span, tc scope.Context, salt, mode string) *OptimizeResponse {
 	tr := *resp
 	tr.Trace = scope.Project(spans, tc, "maod", salt)
-	if mode == scope.TraceChrome {
+	if mode == cachekey.TraceChrome {
 		tr.TraceChrome = scope.ChromeEvents(tr.Trace)
 	}
 	return &tr

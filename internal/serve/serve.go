@@ -67,11 +67,6 @@ type Config struct {
 	// ResultCacheEntries caps the content-addressed result cache
 	// (0 = 512, negative disables the cache).
 	ResultCacheEntries int
-	// PipelineWorkers is the per-pipeline worker count handed to
-	// pass.Manager (mao -j). The default 1 runs each pipeline
-	// sequentially: under server load, parallelism across requests
-	// beats parallelism within one (0 = 1).
-	PipelineWorkers int
 	// DefaultDeadline bounds a request that names no deadline_ms
 	// (0 = 30s); MaxDeadline caps what a request may ask for
 	// (0 = 2m). The deadline covers queueing and execution.
@@ -106,9 +101,6 @@ func (c Config) withDefaults() Config {
 	if c.ResultCacheEntries == 0 {
 		c.ResultCacheEntries = 512
 	}
-	if c.PipelineWorkers <= 0 {
-		c.PipelineWorkers = 1
-	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
 	}
@@ -130,7 +122,7 @@ type job struct {
 	req  *OptimizeRequest
 	key  string // content address
 	ctx  context.Context
-	done chan jobResult // buffered(1); the worker always sends exactly once
+	call *flight.Call[jobResult] // the worker publishes into it exactly once
 
 	// col is the request's span collector, created at admission so its
 	// epoch anchors the queue-wait span; admitted is the admission
@@ -146,10 +138,9 @@ type jobResult struct {
 	err    error
 	// spans is the request's full span stream (queue → batch →
 	// pipeline → ...); the handler projects it into the ?trace=
-	// payload and the flight record's pass-latency vector.
+	// payload, and the flight record reads its queue wait and
+	// pass-latency vector from it.
 	spans []trace.Span
-	// queueNS is the admission-to-pickup wait.
-	queueNS int64
 }
 
 // Server is the MAOD service: construct with New, expose via Handler,
@@ -284,13 +275,8 @@ func (s *Server) runJob(j *job, st *relax.State) {
 	// request's trace ID (X-Request-ID) into the spans, and the
 	// invocation spans feed the per-pass latency histograms on /metrics.
 	// The handler created the collector at admission, so its epoch
-	// anchors the queue-wait span; a missing one (direct runJob callers
-	// in tests) is created here with zero queue time.
+	// anchors the queue-wait span.
 	col := j.col
-	if col == nil {
-		col = trace.NewCollector()
-		col.TraceID = scope.From(j.ctx).ID
-	}
 	// The daemon-side span tree roots at the queue span: admitted →
 	// picked up, then the batch span covers this request's execution
 	// slot on its worker, and the pipeline root (added by pass.Manager)
@@ -302,7 +288,6 @@ func (s *Server) runJob(j *job, st *relax.State) {
 	finish := func(res jobResult) {
 		col.Update(batchIdx, func(sp *trace.Span) { sp.Dur = col.Now() - sp.Start })
 		res.spans = col.Spans()
-		res.queueNS = int64(wait)
 		s.met.observePassSpans(res.spans)
 		s.post(j, res)
 	}
@@ -318,7 +303,9 @@ func (s *Server) runJob(j *job, st *relax.State) {
 		finish(jobResult{status: 400, err: err})
 		return
 	}
-	mgr.Workers = s.cfg.PipelineWorkers
+	// One worker per pipeline: under server load, parallelism across
+	// requests beats parallelism within one.
+	mgr.Workers = 1
 	mgr.Cache = s.relaxCache
 	mgr.RelaxState = st
 	mgr.Tracer = col
@@ -379,12 +366,12 @@ func (s *Server) runJob(j *job, st *relax.State) {
 	finish(jobResult{resp: resp, status: 200})
 }
 
-// post delivers j's result. The job leaves the in-flight count first,
-// so a client already holding its answer never sees its own request
-// still counted in maod_inflight.
+// post publishes j's result into its call. The job leaves the
+// in-flight count first, so a client already holding its answer never
+// sees its own request still counted in maod_inflight.
 func (s *Server) post(j *job, res jobResult) {
 	s.inflight.Add(-1)
-	j.done <- res
+	j.call.Publish(res)
 }
 
 // verifyVerdicts projects the certifier's per-invocation results onto

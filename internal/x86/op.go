@@ -121,7 +121,8 @@ const (
 // themselves with it.
 const NumOps = int(numOps)
 
-var opNames = map[Op]string{
+// opNames is indexed by opcode; OpInvalid has no name.
+var opNames = [NumOps]string{
 	OpMOV: "mov", OpMOVABS: "movabs", OpMOVZX: "movz", OpMOVSX: "movs",
 	OpLEA: "lea", OpPUSH: "push", OpPOP: "pop", OpXCHG: "xchg", OpCMOV: "cmov",
 	OpADD: "add", OpSUB: "sub", OpADC: "adc", OpSBB: "sbb", OpCMP: "cmp",
@@ -151,8 +152,8 @@ var opNames = map[Op]string{
 
 // String returns the base (unsuffixed) name of the opcode.
 func (o Op) String() string {
-	if n, ok := opNames[o]; ok {
-		return n
+	if int(o) < NumOps && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint16(o))
 }
