@@ -20,7 +20,6 @@ import (
 	"mao/internal/bench"
 	"mao/internal/corpus"
 	"mao/internal/experiments"
-	"mao/internal/relax"
 	"mao/internal/uarch"
 )
 
@@ -135,38 +134,6 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkRelaxCache measures relaxation with a cold cache, and then
-// re-relaxation of the unchanged unit through a warm cache — the
-// repeated-pipeline workload the cache exists for.
-func BenchmarkRelaxCache(b *testing.B) {
-	src := corpus.Generate(corpus.CoreLibrary(0.5))
-	u, err := mao.ParseString("bench.s", src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mao.Relax(u); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		c := mao.NewCache()
-		if _, err := relax.Relax(u, &relax.Options{Cache: c}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := relax.Relax(u, &relax.Options{Cache: c}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(c.HitRate()*100, "hit%")
-	})
 }
 
 // BenchmarkSimulate measures executor+simulator throughput.

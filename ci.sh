@@ -11,8 +11,8 @@
 #               contract fails here, not in the benchmark run
 #   race-stress the concurrency-bearing packages (the parallel pass
 #               manager with its per-worker relax.State pool, the
-#               shared encode cache, the incremental relaxation
-#               differential suite at 8 workers, the pipeline memo
+#               incremental relaxation differential suite at 8
+#               workers, the pipeline memo
 #               every worker of a shard shares, the maod service, the
 #               flight group maod coalesces identical misses with, the
 #               router's one forwarding loop, the request layer and
@@ -69,7 +69,7 @@
 #               the access-log shard/cache stamps, the queue-wait +
 #               runtime-health metrics series, and maotop -once -json
 #   bench smoke every benchmark runs once, so the committed benchmarks
-#               (including the worker-scaling and cache benchmarks)
+#               (including the worker-scaling benchmarks)
 #               cannot silently rot
 #   bench regression
 #               maobench -json re-measures the repeated-relaxation and
@@ -124,7 +124,7 @@ go test -race ./...
 echo "== maoledger: the benchmark's API and metric contract"
 (cd maoledger && GOFLAGS=-mod=mod go test ./...)
 
-echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + memo + service + flight group + request layer + passes + maotop"
+echo "== race-stress: parallel pass manager + per-worker relax state + memo + service + flight group + request layer + passes + maotop"
 go test -race -count=3 ./internal/pass/ ./internal/passes/ ./internal/relax/ ./internal/memo/ ./internal/serve/ ./internal/router/ ./internal/flight/ ./internal/scope/ ./cmd/maotop/
 go test -race -count=3 -run 'TestPipelineWorkerDeterminism|TestConcurrentPipelines' .
 # The differential suite drives the pooled per-worker relax.States at 8

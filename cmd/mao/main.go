@@ -61,7 +61,6 @@ import (
 	"mao"
 	"mao/internal/check"
 	"mao/internal/pass"
-	"mao/internal/relax"
 	"mao/internal/trace"
 	"mao/internal/verify"
 )
@@ -135,7 +134,6 @@ func main() {
 		log.Fatal(err)
 	}
 	mgr.Workers = *workers
-	mgr.Cache = relax.NewCache()
 	var cert *check.Certifier
 	var vcert *verify.Certifier
 	var hooks pass.Hooks
@@ -175,7 +173,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*emitBin, layout.Image(u, ".text"), 0o644); err != nil {
+		img, err := layout.Image(u, ".text")
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(*emitBin, img, 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}

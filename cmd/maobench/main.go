@@ -23,7 +23,6 @@ import (
 
 	"mao/internal/bench"
 	"mao/internal/experiments"
-	"mao/internal/relax"
 	"mao/internal/trace"
 )
 
@@ -125,7 +124,6 @@ func main() {
 	baseline := flag.String("baseline", "", "directory holding baseline BENCH_*.json; exit non-zero on >2x ns/op regression (with -json)")
 	flag.Parse()
 	bench.Workers = *workers
-	bench.EncodeCache = relax.NewCache()
 	if *timings {
 		bench.Tracer = trace.NewCollector()
 	}

@@ -217,8 +217,12 @@ func TestLayoutImageMatchesLengths(t *testing.T) {
 		if n.Kind != ir.NodeInst {
 			continue
 		}
-		if len(layout.Bytes(n)) != layout.Len(n) {
-			t.Errorf("%v: bytes %d != len %d", n.Inst, len(layout.Bytes(n)), layout.Len(n))
+		b, err := layout.Bytes(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != layout.Len(n) {
+			t.Errorf("%v: bytes %d != len %d", n.Inst, len(b), layout.Len(n))
 		}
 		sum += int64(layout.Len(n))
 	}

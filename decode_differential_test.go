@@ -73,7 +73,11 @@ func runSpec(t *testing.T, u *mao.Unit, spec string, workers int, hook pass.Hook
 	if err != nil {
 		t.Fatal(err)
 	}
-	return layout.Image(u, ".text")
+	img, err := layout.Image(u, ".text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
 
 // TestDecodeDifferential pins the binary front end against the parser

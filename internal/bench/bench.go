@@ -42,10 +42,6 @@ const MaxInsts = 4_000_000
 // -j flag sets it; results are identical at any value.
 var Workers = 0
 
-// EncodeCache, when non-nil, is threaded into every pipeline run so
-// repeated relaxations share position-independent encodings.
-var EncodeCache *relax.Cache
-
 // Tracer, when non-nil, collects pipeline spans for every Optimize
 // call (cmd/maobench's -timings flag sets it). Span collection is
 // byte- and stats-transparent, so measured results are unaffected.
@@ -80,7 +76,6 @@ func Optimize(u *ir.Unit, pipeline string) (*pass.Stats, error) {
 		return nil, err
 	}
 	mgr.Workers = Workers
-	mgr.Cache = EncodeCache
 	mgr.Tracer = Tracer
 	st := acquireRelaxState()
 	defer relaxStates.Put(st)

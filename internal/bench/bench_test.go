@@ -126,8 +126,14 @@ func TestRoundTripVerification(t *testing.T) {
 				t.Fatalf("relaxed sizes differ: %d vs %d",
 					l1.SectionEnd[".text"], l3.SectionEnd[".text"])
 			}
-			img1 := l1.Image(u1, ".text")
-			img3 := l3.Image(u3, ".text")
+			img1, err := l1.Image(u1, ".text")
+			if err != nil {
+				t.Fatal(err)
+			}
+			img3, err := l3.Image(u3, ".text")
+			if err != nil {
+				t.Fatal(err)
+			}
 			if string(img1) != string(img3) {
 				t.Fatal("relaxed byte images differ")
 			}

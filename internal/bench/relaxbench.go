@@ -29,7 +29,7 @@ func relaxBenchUnit() (*ir.Unit, error) { return asm.ParseString(relaxBenchSourc
 
 // RelaxRepeated measures the steady-state edit→relax cycle on the
 // fragment engine: insert a probe NOP near the end of the unit, relax,
-// remove it, relax again, with one reused State and cache throughout.
+// remove it, relax again, with one reused State throughout.
 // Steady state performs zero allocations (asserted by the relax test
 // suite); almost every fragment is reused between relaxations.
 func RelaxRepeated(b *testing.B) {
@@ -38,7 +38,7 @@ func RelaxRepeated(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := relax.NewState()
-	opts := &relax.Options{Cache: relax.NewCache(), State: st}
+	opts := &relax.Options{State: st}
 	probe := ir.InstNode(encode.Nop(1))
 	anchor := u.List.Back()
 
@@ -76,17 +76,16 @@ func RelaxRepeatedReference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := &relax.Options{Cache: relax.NewCache()}
 	probe := ir.InstNode(encode.Nop(1))
 	anchor := u.List.Back()
 
 	cycle := func() error {
 		u.List.InsertBefore(probe, anchor)
-		if _, err := relax.Reference(u, opts); err != nil {
+		if _, err := relax.Reference(u, nil); err != nil {
 			return err
 		}
 		u.List.Remove(probe)
-		_, err := relax.Reference(u, opts)
+		_, err := relax.Reference(u, nil)
 		return err
 	}
 	if err := cycle(); err != nil {
@@ -115,7 +114,6 @@ func PipelineRepeated(b *testing.B) {
 		b.Fatal(err)
 	}
 	mgr.Workers = 1
-	mgr.Cache = relax.NewCache()
 	mgr.RelaxState = relax.NewState()
 	if _, err := mgr.Run(u); err != nil { // reach the pipeline fixpoint
 		b.Fatal(err)
@@ -138,7 +136,7 @@ func RelaxBenchStats() (iterations int, reuseRate float64, err error) {
 		return 0, 0, err
 	}
 	st := relax.NewState()
-	opts := &relax.Options{Cache: relax.NewCache(), State: st}
+	opts := &relax.Options{State: st}
 	l, err := relax.Relax(u, opts)
 	if err != nil {
 		return 0, 0, err

@@ -184,7 +184,11 @@ func RelaxExample(w io.Writer, scale float64) error {
 			if n.Kind != ir.NodeInst {
 				continue
 			}
-			fmt.Fprintf(w, "  %4x: %-24x %s\n", layout.Addr(n), layout.Bytes(n), n.Inst)
+			b, err := layout.Bytes(n)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "  %4x: %-24x %s\n", layout.Addr(n), b, n.Inst)
 		}
 		return nil
 	}

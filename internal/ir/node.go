@@ -127,6 +127,23 @@ func (d *Directive) AppendTo(dst []byte) []byte {
 	return dst
 }
 
+// DataWidth returns the size in bytes of one value of an integer data
+// directive (.byte, .short, .long, .quad and their aliases); ok is
+// false for every other directive.
+func (d *Directive) DataWidth() (width int, ok bool) {
+	switch d.Name {
+	case ".byte":
+		return 1, true
+	case ".word", ".value", ".short", ".2byte":
+		return 2, true
+	case ".long", ".int", ".4byte":
+		return 4, true
+	case ".quad", ".8byte":
+		return 8, true
+	}
+	return 0, false
+}
+
 // InstNode returns a fresh instruction node.
 func InstNode(in *x86.Inst) *Node { return &Node{Kind: NodeInst, Inst: in} }
 

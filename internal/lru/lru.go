@@ -1,6 +1,5 @@
 // Package lru is the bounded least-recently-used map behind every
-// cache in the module: the relaxation encoding cache, the pipeline
-// memo, and maod's result cache.
+// cache in the module: the pipeline memo and maod's result cache.
 //
 // A Cache does no locking of its own. Each caller already serializes
 // its cache under a lock it holds for other reasons (the counters and

@@ -153,7 +153,6 @@ func (m *Manager) runFuncPass(runCtx context.Context, u *ir.Unit, p FuncPass, ct
 					Unit:      u,
 					Opts:      ctx.Opts,
 					Stats:     r.stats,
-					Cache:     m.Cache,
 					Relax:     wRelax,
 					ctx:       runCtx,
 					passName:  name,

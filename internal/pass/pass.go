@@ -78,17 +78,11 @@ type Ctx struct {
 	// of level.
 	TraceW io.Writer
 
-	// Cache is the pipeline's shared relaxation/encoding cache (nil
-	// when the manager runs uncached). Passes that relax internally
-	// (LOOP16, LSD, BRALIGN, INSTRUMENT) thread it into their
-	// relax.Options so repeated layout computations skip re-encoding
-	// unchanged instructions.
-	Cache *relax.Cache
-
 	// Relax is the invocation's reusable relaxation state. Passes that
-	// relax internally thread it into their relax.Options (alongside
-	// Cache), so probe loops — relax, edit, relax again — rescan only
-	// the fragments each edit touched instead of re-walking the unit.
+	// relax internally (LOOP16, LSD, BRALIGN, INSTRUMENT) thread it
+	// into their relax.Options, so probe loops — relax, edit, relax
+	// again — rescan only the fragments each edit touched instead of
+	// re-walking the unit.
 	// The Ctx mutation helpers keep it notified of edits; a nil state
 	// is valid everywhere and simply disables incrementality.
 	Relax *relax.State
@@ -497,11 +491,9 @@ type Manager struct {
 	// count; only wall-clock time changes.
 	Workers int
 
-	// Cache, when non-nil, memoizes position-independent instruction
-	// encodings across the relaxations the pipeline (and its passes)
-	// perform. It is keyed on instruction text, so it needs no
-	// invalidation and may be shared by concurrent runs; its own
-	// counters are the only record of its hits and misses.
+	// Cache is read by nothing: relaxation has no encoding cache.
+	//
+	// Deprecated: leave it unset.
 	Cache *relax.Cache
 
 	// RelaxState, when non-nil, carries fragment-based relaxation
@@ -668,7 +660,6 @@ func (m *Manager) RunContext(runCtx context.Context, u *ir.Unit) (*Stats, error)
 			Opts:      inv.Opts,
 			Stats:     stats,
 			TraceW:    traceW,
-			Cache:     m.Cache,
 			Relax:     relaxState,
 			ctx:       runCtx,
 			passName:  name,

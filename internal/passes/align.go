@@ -83,7 +83,7 @@ type loop16 struct{ base }
 func (p *loop16) RunUnit(ctx *pass.Ctx) (bool, error) {
 	maxSize := int64(ctx.Opts.Int("size", 16))
 
-	layout, err := relax.Relax(ctx.Unit, &relax.Options{Cache: ctx.Cache, State: ctx.Relax})
+	layout, err := relax.Relax(ctx.Unit, &relax.Options{State: ctx.Relax})
 	if err != nil {
 		return false, err
 	}
@@ -140,7 +140,7 @@ func (p *lsdFit) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
 	// Fixing one loop shifts everything after it, so re-relax and
 	// re-scan until no fixable loop remains.
 	for iter := 0; iter < 32; iter++ {
-		layout, err := relax.Relax(f.Unit(), &relax.Options{Cache: ctx.Cache, State: ctx.Relax})
+		layout, err := relax.Relax(f.Unit(), &relax.Options{State: ctx.Relax})
 		if err != nil {
 			return changed, err
 		}
@@ -219,7 +219,7 @@ func (p *brAlign) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
 
 	changed := false
 	for iter := 0; iter < 32; iter++ {
-		layout, err := relax.Relax(f.Unit(), &relax.Options{Cache: ctx.Cache, State: ctx.Relax})
+		layout, err := relax.Relax(f.Unit(), &relax.Options{State: ctx.Relax})
 		if err != nil {
 			return changed, err
 		}

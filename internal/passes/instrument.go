@@ -58,7 +58,7 @@ func (p *instrument) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
 	// front until it fits. Each insertion can shift later probes, so
 	// re-relax until stable.
 	for iter := 0; iter < 64; iter++ {
-		layout, err := relax.Relax(f.Unit(), &relax.Options{Cache: ctx.Cache, State: ctx.Relax})
+		layout, err := relax.Relax(f.Unit(), &relax.Options{State: ctx.Relax})
 		if err != nil {
 			return true, err
 		}

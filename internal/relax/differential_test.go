@@ -106,7 +106,9 @@ func assertSameLayout(t *testing.T, tag string, u *ir.Unit, got *relax.Layout, w
 		if gl, wl := got.Len(n), want.Len[n]; gl != wl {
 			t.Errorf("%s: node %d (%s): len %d, reference %d", tag, i, n, gl, wl)
 		}
-		if gb, wb := got.Bytes(n), want.Bytes[n]; string(gb) != string(wb) {
+		if gb, err := got.Bytes(n); err != nil {
+			t.Errorf("%s: node %d (%s): %v", tag, i, n, err)
+		} else if wb := want.Bytes[n]; string(gb) != string(wb) {
 			t.Errorf("%s: node %d (%s): bytes %x, reference %x", tag, i, n, gb, wb)
 		}
 		if n.Kind == ir.NodeLabel {
@@ -188,7 +190,6 @@ func TestDifferentialAfterPasses(t *testing.T) {
 							t.Fatal(err)
 						}
 						mgr.Workers = workers
-						mgr.Cache = relax.NewCache()
 						if traced {
 							mgr.Tracer = trace.NewCollector()
 						}
@@ -226,7 +227,7 @@ func TestDifferentialRandomEdits(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			u := mustParse(t, name, srcs[name])
 			st := relax.NewState()
-			opts := &relax.Options{State: st, Cache: relax.NewCache()}
+			opts := &relax.Options{State: st}
 			rng := rand.New(rand.NewSource(20260806))
 
 			randNode := func() *ir.Node {
@@ -291,7 +292,7 @@ func TestDifferentialRandomEdits(t *testing.T) {
 						t.Fatalf("step %d: analyze: %v", step, err)
 					}
 				}
-				want, err := relax.Reference(u, &relax.Options{Cache: opts.Cache})
+				want, err := relax.Reference(u, nil)
 				if err != nil {
 					t.Fatalf("step %d: reference: %v", step, err)
 				}

@@ -27,10 +27,10 @@ func (l *RefLayout) SymAddr(sym string) (int64, bool) {
 }
 
 // Reference is the straight-line relaxation algorithm: every iteration
-// walks and re-encodes the entire unit. It is kept verbatim as the
-// oracle for the differential test suite — the fragment engine must
-// produce byte- and address-identical layouts — and as the baseline
-// for the repeated-relaxation benchmarks. Options.State is ignored.
+// walks and re-encodes the entire unit. It is kept as the oracle for
+// the differential test suite — the fragment engine must produce
+// byte- and address-identical layouts — and as the baseline for the
+// repeated-relaxation benchmarks. Options.State is ignored.
 func Reference(u *ir.Unit, opts *Options) (*RefLayout, error) {
 	var o Options
 	if opts != nil {
@@ -98,7 +98,7 @@ func Reference(u *ir.Unit, opts *Options) (*RefLayout, error) {
 					}
 				}
 				ctx := &encode.Ctx{Addr: addr, SymAddr: resolver, ForceLong: forceLong[n]}
-				b, err := encodeCached(o.Cache, n, ctx)
+				b, err := encode.Encode(n.Inst, ctx)
 				if err != nil {
 					return nil, nodeErr(u, n, err)
 				}

@@ -15,10 +15,12 @@
 // The engine is fragment-based (see State): each section is partitioned
 // into runs of fixed-size nodes ending at a size-variable tail — a
 // relaxable branch or an alignment directive — so the fixpoint sweeps
-// O(fragments) integers per round instead of re-encoding O(nodes), and
+// O(fragments) integers per round instead of re-sizing O(nodes), and
 // a reusable State re-partitions only the fragments an edit touched.
-// Reference is the straight-line full-walk implementation the
-// differential tests compare against.
+// Relaxation computes lengths only; Layout.Bytes encodes a node at its
+// relaxed address when a caller asks for the bytes. Reference is the
+// straight-line full-walk implementation the differential tests
+// compare against.
 package relax
 
 import (
@@ -28,6 +30,7 @@ import (
 
 	"mao/internal/ir"
 	"mao/internal/x86"
+	"mao/internal/x86/encode"
 )
 
 // Layout is the result of relaxation: byte-accurate addresses and
@@ -65,13 +68,40 @@ func (l *Layout) Len(n *ir.Node) int {
 	return l.s.lenv[n.Index()]
 }
 
-// Bytes returns the final encoding of an instruction node (nil for
-// labels, directives and unresolved short branches).
-func (l *Layout) Bytes(n *ir.Node) []byte {
-	if l.s.fragAt(n) == nil {
-		return nil
+// Bytes encodes an instruction node at its relaxed address (a branch
+// tail in the form relaxation chose). It returns nil for labels,
+// directives, nodes the layout does not cover and short branches whose
+// internal target never resolved. The bytes are encoded on each call
+// from the State's tables, so read them before the next Relax. An
+// encoding whose length differs from the relaxed length is an internal
+// error.
+func (l *Layout) Bytes(n *ir.Node) ([]byte, error) {
+	s := l.s
+	f := s.fragAt(n)
+	if f == nil || n.Kind != ir.NodeInst {
+		return nil, nil
 	}
-	return l.s.byt[n.Index()]
+	id := n.Index()
+	ctx := encode.Ctx{Addr: f.start + s.off[id], SymAddr: s.symAddr}
+	what := "instruction"
+	if n == f.tail && f.tailKind == tailBranch {
+		if _, ok := s.symAddr(f.tailSym); !ok && f.tailInternal && !f.forceLong {
+			// Internal target that never resolved (a stale label
+			// map): the reference never encodes such a branch.
+			return nil, nil
+		}
+		ctx.ForceLong = f.forceLong
+		what = "branch"
+	}
+	b, err := encode.Encode(n.Inst, &ctx)
+	if err != nil {
+		return nil, nodeErr(s.u, n, err)
+	}
+	if len(b) != s.lenv[id] {
+		return nil, fmt.Errorf("relax: internal error: predicted %d-byte %s encoded to %d bytes (%v)",
+			s.lenv[id], what, len(b), n.Inst)
+	}
+	return b, nil
 }
 
 // SymAddr resolves a label to its relaxed address (implements the
@@ -86,13 +116,9 @@ type Options struct {
 	// Base is the starting address of every section; sections are
 	// laid out independently.
 	Base int64
-	// Cache, when non-nil, memoizes position-independent instruction
-	// encodings across iterations and across Relax calls.
-	Cache *Cache
 	// State, when non-nil, carries fragment state across Relax calls:
 	// repeated relaxation of the same (possibly edited) unit rescans
-	// only the fragments that changed and re-encodes only the bytes
-	// whose addresses or targets moved. See State for the reuse and
+	// only the fragments that changed. See State for the reuse and
 	// invalidation protocol. When nil, Relax builds a throwaway State.
 	State *State
 }
@@ -130,31 +156,15 @@ func relaxTarget(in *x86.Inst) (string, bool) {
 	return in.BranchTarget()
 }
 
-// longLen is the rel32 form length of a relaxable branch: jmp is
-// E9 imm32 (5 bytes), jcc is 0F 8x imm32 (6 bytes). The emit phase
-// cross-checks every predicted size against the encoder's output, so
-// these constants cannot drift silently.
-func longLen(in *x86.Inst) int {
-	if in.Op == x86.OpJCC {
-		return 6
-	}
-	return 5
-}
-
 // directiveSize returns the emitted size of a data/alignment directive
 // at the given address. Non-emitting directives return 0. Errors are
 // bare; callers attribute them with nodeErr.
 func directiveSize(n *ir.Node, addr int64) (int, error) {
 	d := n.Dir
+	if w, ok := d.DataWidth(); ok {
+		return w * len(d.Args), nil
+	}
 	switch d.Name {
-	case ".byte":
-		return len(d.Args), nil
-	case ".word", ".value", ".short":
-		return 2 * len(d.Args), nil
-	case ".long", ".int":
-		return 4 * len(d.Args), nil
-	case ".quad", ".8byte":
-		return 8 * len(d.Args), nil
 	case ".zero", ".skip", ".space":
 		if len(d.Args) == 0 {
 			return 0, fmt.Errorf("%s without size", d.Name)
@@ -167,11 +177,11 @@ func directiveSize(n *ir.Node, addr int64) (int, error) {
 	case ".ascii", ".string", ".asciz":
 		total := 0
 		for _, a := range d.Args {
-			s, err := unquote(a)
+			n, err := stringSize(a)
 			if err != nil {
 				return 0, err
 			}
-			total += len(s)
+			total += n
 			if d.Name != ".ascii" {
 				total++ // trailing NUL
 			}
@@ -188,54 +198,61 @@ func directiveSize(n *ir.Node, addr int64) (int, error) {
 	return 0, nil
 }
 
-// unquote decodes a gas string literal (double quotes, C escapes).
-func unquote(s string) (string, error) {
+// stringSize returns the number of bytes a gas string literal (double
+// quotes, C escapes) assembles to. As in GNU as, an escape is one byte:
+// a backslash with the character after it, with up to three octal
+// digits, or with an x and every hex digit after it.
+func stringSize(s string) (int, error) {
 	s = strings.TrimSpace(s)
 	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
-		return "", fmt.Errorf("bad string literal %s", s)
+		return 0, fmt.Errorf("bad string literal %s", s)
 	}
 	body := s[1 : len(s)-1]
-	var b strings.Builder
+	size := 0
 	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c != '\\' {
-			b.WriteByte(c)
+		size++
+		if body[i] != '\\' {
 			continue
 		}
 		i++
 		if i >= len(body) {
-			return "", fmt.Errorf("trailing backslash in %s", s)
+			return 0, fmt.Errorf("trailing backslash in %s", s)
 		}
-		switch body[i] {
-		case 'n':
-			b.WriteByte('\n')
-		case 't':
-			b.WriteByte('\t')
-		case 'r':
-			b.WriteByte('\r')
-		case '0':
-			b.WriteByte(0)
-		case '\\', '"':
-			b.WriteByte(body[i])
-		default:
-			b.WriteByte(body[i])
+		switch c := body[i]; {
+		case isOctal(c):
+			for k := 1; k < 3 && i+1 < len(body) && isOctal(body[i+1]); k++ {
+				i++
+			}
+		case c == 'x' || c == 'X':
+			for i+1 < len(body) && isHex(body[i+1]) {
+				i++
+			}
 		}
 	}
-	return b.String(), nil
+	return size, nil
+}
+
+func isOctal(c byte) bool { return c >= '0' && c <= '7' }
+
+func isHex(c byte) bool {
+	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
 }
 
 // Image assembles the final byte image of one section (instruction
-// bytes, data directives as zero placeholders, alignment as NOP-style
-// 0x90 padding). It is primarily a testing and inspection aid; the
-// optimizer itself only needs addresses and lengths.
-func (l *Layout) Image(u *ir.Unit, section string) []byte {
-	size := l.SectionEnd[section]
-	img := make([]byte, size)
+// bytes from Bytes, data directives as zero placeholders, alignment as
+// NOP-style 0x90 padding). It is primarily a testing and inspection
+// aid; the optimizer itself only needs addresses and lengths.
+func (l *Layout) Image(u *ir.Unit, section string) ([]byte, error) {
+	img := make([]byte, l.SectionEnd[section])
 	for n := u.List.Front(); n != nil; n = n.Next() {
 		if n.Section != section {
 			continue
 		}
-		if b := l.Bytes(n); b != nil {
+		b, err := l.Bytes(n)
+		if err != nil {
+			return nil, err
+		}
+		if b != nil {
 			copy(img[l.Addr(n):], b)
 			continue
 		}
@@ -245,5 +262,5 @@ func (l *Layout) Image(u *ir.Unit, section string) []byte {
 			}
 		}
 	}
-	return img
+	return img, nil
 }

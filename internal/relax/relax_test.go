@@ -47,6 +47,16 @@ const paperBefore = `
 	jne .Lbody
 `
 
+// bytesOf returns l.Bytes(n), failing the test on an error.
+func bytesOf(t *testing.T, l *Layout, n *ir.Node) []byte {
+	t.Helper()
+	b, err := l.Bytes(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func findInsts(u *ir.Unit) []*ir.Node {
 	var out []*ir.Node
 	for n := u.List.Front(); n != nil; n = n.Next() {
@@ -69,12 +79,12 @@ func TestPaperSection2Before(t *testing.T) {
 	}
 	// jmp fits rel8: eb 7f.
 	jmp := insts[3]
-	if got := hex.EncodeToString(l.Bytes(jmp)); got != "eb7f" {
+	if got := hex.EncodeToString(bytesOf(t, l, jmp)); got != "eb7f" {
 		t.Errorf("jmp bytes = %s, want eb7f", got)
 	}
 	// jne needs rel32 (backward -0x89).
 	jne := insts[7]
-	if got := hex.EncodeToString(l.Bytes(jne)); got != "0f8577ffffff" {
+	if got := hex.EncodeToString(bytesOf(t, l, jne)); got != "0f8577ffffff" {
 		t.Errorf("jne bytes = %s", got)
 	}
 }
@@ -100,11 +110,11 @@ func TestPaperSection2AfterNop(t *testing.T) {
 		}
 	}
 	jmp := insts[3]
-	if got := hex.EncodeToString(l.Bytes(jmp)); got != "e980000000" {
+	if got := hex.EncodeToString(bytesOf(t, l, jmp)); got != "e980000000" {
 		t.Errorf("jmp bytes = %s, want e980000000", got)
 	}
 	jne := insts[8]
-	if got := hex.EncodeToString(l.Bytes(jne)); got != "0f8576ffffff" {
+	if got := hex.EncodeToString(bytesOf(t, l, jne)); got != "0f8576ffffff" {
 		t.Errorf("jne bytes = %s, want 0f8576ffffff (paper listing)", got)
 	}
 	if l.Iterations < 2 {
@@ -198,18 +208,33 @@ func TestAlignmentMaxSkip(t *testing.T) {
 }
 
 func TestDataDirectiveSizes(t *testing.T) {
-	_, l := relaxed(t, `
-	.data
-	.byte 1,2,3
-	.word 5
-	.long 1,2
-	.quad 9
-	.zero 7
-	.string "ab"
-	.ascii "cd"
-`)
-	if got := l.SectionEnd[".data"]; got != 3+2+8+8+7+3+2 {
-		t.Errorf(".data size = %d, want 33", got)
+	for _, tt := range []struct {
+		dir  string
+		want int64
+	}{
+		{".byte 1,2,3", 3},
+		{".word 5", 2},
+		{".2byte 1,2", 4},
+		{".long 1,2", 8},
+		{".4byte 3", 4},
+		{".quad 9", 8},
+		{".8byte 9", 8},
+		{".zero 7", 7},
+		{`.string "ab"`, 3},
+		{`.ascii "cd"`, 2},
+		{`.string "a\n\"b"`, 5},
+		// An escape is one byte, as GNU as assembles it: up to three
+		// octal digits, or x and every hex digit after it.
+		{`.ascii "\101"`, 1},
+		{`.ascii "\377\001"`, 2},
+		{`.ascii "\1012"`, 2},
+		{`.ascii "\x41"`, 1},
+		{`.ascii "\x4142"`, 1},
+	} {
+		_, l := relaxed(t, "\t.data\n\t"+tt.dir+"\n")
+		if got := l.SectionEnd[".data"]; got != tt.want {
+			t.Errorf("%s: size %d, want %d", tt.dir, got, tt.want)
+		}
 	}
 }
 
@@ -245,7 +270,10 @@ func TestLabelResolution(t *testing.T) {
 
 func TestImage(t *testing.T) {
 	u, l := relaxed(t, "\tmovl $1, %eax\n\tret\n")
-	img := l.Image(u, ".text")
+	img, err := l.Image(u, ".text")
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []byte{0xB8, 1, 0, 0, 0, 0xC3}
 	if string(img) != string(want) {
 		t.Errorf("image = %x, want %x", img, want)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mao/internal/ir"
-	"mao/internal/x86"
 	"mao/internal/x86/encode"
 )
 
@@ -16,9 +15,11 @@ import (
 // (a relaxable jmp/jcc or an alignment directive). Labels are interior
 // to fragments, stored as (label, offset) pairs; a label's address is
 // its fragment's start plus that offset, so moving a fragment moves
-// all its labels for free. Fixed-size nodes are encoded once, when
-// their fragment is (re)scanned; the fixpoint then sweeps fragments —
-// a few integer operations each — instead of re-encoding nodes.
+// all its labels for free. Fixed-size nodes are sized once, when their
+// fragment is (re)scanned; the fixpoint then sweeps fragments — a few
+// integer operations each — instead of re-sizing nodes. Sizes are
+// address-free: a position-dependent instruction (a call, a RIP-
+// relative or symbolic reference) always takes its rel32/disp32 form.
 //
 // Correctness hinges on trajectory equivalence: alignment padding
 // makes relaxation non-monotonic (growth upstream can shrink a pad
@@ -29,9 +30,8 @@ import (
 // each branch against the previous round's label addresses, and a long
 // choice is sticky (grow-only, which bounds the rounds by the branch
 // count). What makes the warm path fast is that each round is a
-// fragment sweep, and the emit phase re-encodes only tails and
-// position-dependent nodes whose address or target actually moved
-// since the bytes were last produced.
+// fragment sweep. No bytes are produced: Layout.Bytes encodes a node
+// on demand at the address and in the branch form the sweep settled.
 
 const (
 	tailNone uint8 = iota
@@ -39,8 +39,8 @@ const (
 	tailAlign
 )
 
-// unknownAddr is the "unresolved symbol" sentinel in emit-phase change
-// tracking (never a real address: sections start at Options.Base >= 0).
+// unknownAddr marks a section cursor no fragment has advanced yet
+// (never a real address: sections start at Options.Base >= 0).
 const unknownAddr = math.MinInt64
 
 type labelRef struct {
@@ -60,9 +60,6 @@ type frag struct {
 	start int64 // section-relative address, set by each sweep
 
 	labels []labelRef
-	pd     []*ir.Node // fixed-size but position-dependent (calls, RIP-rel, sym refs)
-	pdSyms []string   // symbols the pd encodings depend on
-	pdAddr []int64    // pdSyms' resolved addresses at last emit
 
 	tailKind     uint8
 	tail         *ir.Node
@@ -76,14 +73,6 @@ type frag struct {
 	alignMax     int    // max padding, -1 unbounded (tailAlign)
 	forceLong    bool   // sticky long bit, reset at every Relax
 
-	// Emit-phase change tracking: bytes produced for this fragment are
-	// valid for these inputs and are reused while they hold.
-	emitted      bool
-	emitStart    int64
-	emitTailAddr int64
-	emitTailTgt  int64
-	emitTailLen  int
-
 	dirty bool // content must be rescanned before the next fixpoint
 	index int  // position in State.frags
 }
@@ -96,7 +85,7 @@ type Metrics struct {
 	FullBuilds int64 // full partitions (first call, or staleness detected)
 	Rescans    int64 // incremental partial rescans
 	Rounds     int64 // total fixpoint rounds swept
-	FragsNew   int64 // fragments scanned and encoded
+	FragsNew   int64 // fragments scanned and sized
 	FragsKept  int64 // fragments carried across a Relax untouched
 }
 
@@ -110,7 +99,7 @@ func (m Metrics) ReuseRate() float64 {
 }
 
 // State is reusable relaxation state: the fragment partition of one
-// unit plus node-indexed address/length/byte tables. A zero-cost way
+// unit plus node-indexed offset and length tables. A zero-cost way
 // to use it is through Options.State; passes get one on pass.Ctx.
 //
 // A State holds one unit at a time. Hold (or Relax of another unit)
@@ -133,15 +122,13 @@ func (m Metrics) ReuseRate() float64 {
 // A State is single-goroutine: share nothing, or give each worker its
 // own (pass.Manager does).
 type State struct {
-	u     *ir.Unit
-	base  int64
-	cache *Cache
+	u    *ir.Unit
+	base int64
 
 	frags  []*frag
 	fragOf []*frag // node index → owning fragment
 	off    []int64 // node index → offset within fragment
 	lenv   []int   // node index → encoded length
-	byt    [][]byte
 
 	labelIdx   map[string]int // name → index, reset by every full rebuild
 	labelNames []string
@@ -153,15 +140,6 @@ type State struct {
 	sectIdx   map[string]int // section name → index, reset with the label tables
 	sectNames []string
 	cursor    []int64 // section index → location counter, per sweep; unknownAddr = none yet
-
-	// scanCtx and emitCtx are reusable encoder contexts (a fresh
-	// composite literal per encode call would escape to the heap and
-	// break the zero-allocation steady state). scanCtx stays zero —
-	// scan-time encodes are address-free; emitCtx is re-filled per
-	// emit-phase encode, with resolver bound once to this state.
-	scanCtx  encode.Ctx
-	emitCtx  encode.Ctx
-	resolver func(string) (int64, bool)
 
 	layout      Layout
 	valid       bool
@@ -185,8 +163,6 @@ func NewState() *State {
 	}
 	s.layout.SectionEnd = make(map[string]int64)
 	s.layout.s = s
-	s.resolver = s.symAddr
-	s.emitCtx.SymAddr = s.resolver
 	return s
 }
 
@@ -208,8 +184,7 @@ func (s *State) Hold(u *ir.Unit) {
 	s.frags = s.frags[:0]
 	s.newly = s.newly[:0]
 	clear(s.fragOf)
-	clear(s.byt)
-	s.fragOf, s.off, s.lenv, s.byt = s.fragOf[:0], s.off[:0], s.lenv[:0], s.byt[:0]
+	s.fragOf, s.off, s.lenv = s.fragOf[:0], s.off[:0], s.lenv[:0]
 	s.resetNames()
 	clear(s.layout.SectionEnd)
 	s.u = u
@@ -246,16 +221,6 @@ func (s *State) symAddr(sym string) (int64, bool) {
 		return 0, false
 	}
 	return s.labelCur[idx], true
-}
-
-// resolveOr is symAddr with the unknownAddr sentinel, for emit-phase
-// change tracking.
-func (s *State) resolveOr(sym string) int64 {
-	a, ok := s.symAddr(sym)
-	if !ok {
-		return unknownAddr
-	}
-	return a
 }
 
 // NodeInserted notifies the state that n was just linked into the
@@ -337,7 +302,6 @@ func (s *State) Relax(u *ir.Unit, opts *Options) (*Layout, error) {
 		o.MaxIterations = 100
 	}
 	s.Hold(u)
-	s.cache = o.Cache
 
 	version := u.List.Version()
 	switch {
@@ -378,11 +342,6 @@ func (s *State) Relax(u *ir.Unit, opts *Options) (*Layout, error) {
 	}
 	s.layout.Iterations = rounds
 	s.metrics.Rounds += int64(rounds)
-
-	if err := s.emit(); err != nil {
-		s.valid = false
-		return nil, err
-	}
 
 	clear(s.layout.SectionEnd)
 	for i, end := range s.cursor {
@@ -497,9 +456,9 @@ func (s *State) finishScan() {
 }
 
 // scanRange partitions the node range [start, end) into fragments
-// appended to dst: fixed-size nodes are encoded (through the cache)
-// and accumulated, labels interned at their offsets, and a relaxable
-// branch or alignment directive closes the open fragment as its tail.
+// appended to dst: fixed-size nodes are sized and accumulated, labels
+// interned at their offsets, and a relaxable branch or alignment
+// directive closes the open fragment as its tail.
 func (s *State) scanRange(start, end *ir.Node, dst []*frag) ([]*frag, error) {
 	var f *frag
 	closeOpen := func() {
@@ -527,7 +486,6 @@ func (s *State) scanRange(start, end *ir.Node, dst []*frag) ([]*frag, error) {
 		s.fragOf[id] = f
 		s.off[id] = f.fixed
 		s.lenv[id] = 0
-		s.byt[id] = nil
 		f.last = n
 		f.count++
 
@@ -561,59 +519,32 @@ func (s *State) scanRange(start, end *ir.Node, dst []*frag) ([]*frag, error) {
 
 		case ir.NodeInst:
 			if sym, ok := relaxTarget(n.Inst); ok {
+				// With no symbol resolved the encoder picks the rel32
+				// form, so this is the branch's long length.
+				long, err := encode.Length(n.Inst, nil)
+				if err != nil {
+					return dst, nodeErr(s.u, n, err)
+				}
 				f.tailKind = tailBranch
 				f.tail = n
 				f.tailSym = sym
 				f.tailOff = n.Inst.Args[0].Off
 				f.tailInternal = s.u.FindLabel(sym) != nil
-				f.tailLong = longLen(n.Inst)
+				f.tailLong = long
 				f.tailLen = 0
 				closeOpen()
 				continue
 			}
-			b, err := encodeCached(s.cache, n, &s.scanCtx)
+			size, err := encode.Length(n.Inst, nil)
 			if err != nil {
 				return dst, nodeErr(s.u, n, err)
 			}
-			s.lenv[id] = len(b)
-			s.byt[id] = b
-			if !encode.PositionIndependent(n.Inst) {
-				// Final bytes depend on the address and/or symbols; the
-				// emit phase re-encodes them (size is address-free).
-				f.pd = append(f.pd, n)
-				s.pdSymsOf(f, n)
-			}
-			f.fixed += int64(len(b))
+			s.lenv[id] = size
+			f.fixed += int64(size)
 		}
 	}
 	closeOpen()
 	return dst, nil
-}
-
-// pdSymsOf records the symbols n's encoding depends on in f's
-// dependency list (deduplicated; the lists are tiny).
-func (s *State) pdSymsOf(f *frag, n *ir.Node) {
-	add := func(sym string) {
-		if sym == "" {
-			return
-		}
-		for _, have := range f.pdSyms {
-			if have == sym {
-				return
-			}
-		}
-		f.pdSyms = append(f.pdSyms, sym)
-		f.pdAddr = append(f.pdAddr, unknownAddr)
-	}
-	for i := range n.Inst.Args {
-		a := &n.Inst.Args[i]
-		switch a.Kind {
-		case x86.KindLabel:
-			add(a.Sym)
-		case x86.KindMem:
-			add(a.Mem.Sym)
-		}
-	}
 }
 
 // sweep runs one fixpoint round over the fragment list: assign
@@ -691,69 +622,6 @@ func (s *State) fit(f *frag, addr int64, round int, grew *bool) int {
 	return f.tailLong
 }
 
-// emit produces final bytes, re-encoding only what moved: a fragment's
-// position-dependent nodes when its start or a referenced symbol
-// changed since their bytes were produced, and its branch tail when
-// its (address, target, size) triple changed.
-func (s *State) emit() error {
-	for _, f := range s.frags {
-		startChanged := !f.emitted || f.start != f.emitStart
-		if len(f.pd) > 0 {
-			need := startChanged
-			if !need {
-				for i, sym := range f.pdSyms {
-					if s.resolveOr(sym) != f.pdAddr[i] {
-						need = true
-						break
-					}
-				}
-			}
-			if need {
-				for _, n := range f.pd {
-					s.emitCtx.Addr = f.start + s.off[n.Index()]
-					s.emitCtx.ForceLong = false
-					b, err := encodeCached(s.cache, n, &s.emitCtx)
-					if err != nil {
-						return nodeErr(s.u, n, err)
-					}
-					s.byt[n.Index()] = b
-				}
-				for i, sym := range f.pdSyms {
-					f.pdAddr[i] = s.resolveOr(sym)
-				}
-			}
-		}
-		if f.tailKind == tailBranch {
-			id := f.tail.Index()
-			addr := f.start + f.fixed
-			tgt := s.resolveOr(f.tailSym)
-			if !f.emitted || addr != f.emitTailAddr || tgt != f.emitTailTgt || f.tailLen != f.emitTailLen {
-				if tgt == unknownAddr && f.tailInternal && !f.forceLong {
-					// Internal target that never resolved (a stale label
-					// map): the reference never encodes such a branch.
-					s.byt[id] = nil
-				} else {
-					s.emitCtx.Addr = addr
-					s.emitCtx.ForceLong = f.forceLong
-					b, err := encodeCached(s.cache, f.tail, &s.emitCtx)
-					if err != nil {
-						return nodeErr(s.u, f.tail, err)
-					}
-					if len(b) != f.tailLen {
-						return fmt.Errorf("relax: internal error: predicted %d-byte branch encoded to %d bytes (%v)",
-							f.tailLen, len(b), f.tail.Inst)
-					}
-					s.byt[id] = b
-				}
-				f.emitTailAddr, f.emitTailTgt, f.emitTailLen = addr, tgt, f.tailLen
-			}
-		}
-		f.emitStart = f.start
-		f.emitted = true
-	}
-	return nil
-}
-
 // resetNames empties the label and section tables, keeping their
 // storage.
 func (s *State) resetNames() {
@@ -817,7 +685,6 @@ func (s *State) grow(bound int) {
 		s.fragOf = append(s.fragOf, nil)
 		s.off = append(s.off, 0)
 		s.lenv = append(s.lenv, 0)
-		s.byt = append(s.byt, nil)
 	}
 }
 
@@ -839,11 +706,6 @@ func (s *State) release(f *frag) {
 	f.count = 0
 	f.fixed = 0
 	f.labels = f.labels[:0]
-	clear(f.pd)
-	clear(f.pdSyms)
-	f.pd = f.pd[:0]
-	f.pdSyms = f.pdSyms[:0]
-	f.pdAddr = f.pdAddr[:0]
 	f.tailKind = tailNone
 	f.tailSym = ""
 	f.tailOff = 0
@@ -852,7 +714,6 @@ func (s *State) release(f *frag) {
 	f.alignBytes = 0
 	f.alignMax = 0
 	f.forceLong = false
-	f.emitted = false
 	f.dirty = false
 	s.free = append(s.free, f)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mao/internal/ir"
+	"mao/internal/x86"
 	"mao/internal/x86/encode"
 )
 
@@ -31,11 +32,11 @@ func TestFastPathNoAllocs(t *testing.T) {
 
 // TestSteadyStateProbeNoAllocs: the insert-probe → relax → remove →
 // relax cycle — the alignment passes' inner loop — settles to zero
-// allocations per cycle once partition, pools and cache are warm.
+// allocations per cycle once partition and pools are warm.
 func TestSteadyStateProbeNoAllocs(t *testing.T) {
 	u := parse(t, paperBefore+"\tret\n\tret\n")
 	st := NewState()
-	opts := &Options{State: st, Cache: NewCache()}
+	opts := &Options{State: st}
 	if _, err := Relax(u, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSteadyStateProbeNoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cycle() // warm the rescan double-buffer and the encoding cache
+	cycle() // warm the rescan double-buffer
 	allocs := testing.AllocsPerRun(50, cycle)
 	if allocs != 0 {
 		t.Errorf("steady-state probe cycle allocates %.1f times, want 0", allocs)
@@ -117,8 +118,25 @@ func TestInPlaceMutationDetected(t *testing.T) {
 		t.Fatalf("size changed: %d -> %d", sizeBefore, l2.Len(n))
 	}
 	want := []byte{0xB8, 0x44, 0x33, 0x22, 0x11}
-	if got := l2.Bytes(n); string(got) != string(want) {
+	if got := bytesOf(t, l2, n); string(got) != string(want) {
 		t.Errorf("bytes after in-place edit = %x, want %x", got, want)
+	}
+}
+
+// TestBytesChecksRelaxedLength: an instruction edited in place after
+// Relax, with nobody told, no longer encodes to its relaxed length, and
+// Bytes reports that instead of returning bytes that contradict the
+// layout.
+func TestBytesChecksRelaxedLength(t *testing.T) {
+	u, l := relaxed(t, "\tmovl $1, %eax\n\tret\n")
+	n := findInsts(u)[0]
+	n.Inst.Args[0] = x86.RegOp(x86.EBX) // movl %ebx, %eax: 2 bytes, not 5
+	_, err := l.Bytes(n)
+	if err == nil || !strings.Contains(err.Error(), "predicted 5-byte instruction encoded to 2 bytes") {
+		t.Errorf("Bytes after an unreported edit: err = %v", err)
+	}
+	if _, err := l.Image(u, ".text"); err == nil {
+		t.Error("Image after an unreported edit: no error")
 	}
 }
 
@@ -138,8 +156,8 @@ func TestNotifiedMutationRescans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []byte{0xB8, 7, 0, 0, 0}; string(l.Bytes(n)) != string(want) {
-		t.Errorf("bytes = %x, want %x", l.Bytes(n), want)
+	if got, want := bytesOf(t, l, n), []byte{0xB8, 7, 0, 0, 0}; string(got) != string(want) {
+		t.Errorf("bytes = %x, want %x", got, want)
 	}
 	if m := st.Metrics(); m.FullBuilds != 1 || m.Rescans != 1 {
 		t.Errorf("metrics = %+v; want exactly one rescan, no second build", m)
@@ -182,33 +200,39 @@ func TestStateAcrossUnits(t *testing.T) {
 func TestForeignNodeReportsZero(t *testing.T) {
 	u, l := relaxed(t, "\tnop\n\tret\n")
 	stray := ir.InstNode(encode.Nop(1)) // never linked anywhere
-	if l.Addr(stray) != 0 || l.Len(stray) != 0 || l.Bytes(stray) != nil {
+	if l.Addr(stray) != 0 || l.Len(stray) != 0 || bytesOf(t, l, stray) != nil {
 		t.Error("unlinked node must report zero addr/len and nil bytes")
 	}
 	removed := findInsts(u)[0]
 	u.List.Remove(removed)
-	if l.Addr(removed) != 0 || l.Len(removed) != 0 || l.Bytes(removed) != nil {
+	if l.Addr(removed) != 0 || l.Len(removed) != 0 || bytesOf(t, l, removed) != nil {
 		t.Error("removed node must report zero addr/len and nil bytes")
 	}
 }
 
 // TestErrorLineAttribution: relaxation errors name the offending
-// node's source position.
+// node's source position, and the reference fails identically.
 func TestErrorLineAttribution(t *testing.T) {
-	u := parse(t, "\tnop\n\t.skip bogus\n")
-	_, err := Relax(u, nil)
-	if err == nil {
-		t.Fatal("expected error for bad .skip operand")
-	}
-	if !strings.Contains(err.Error(), "t.s:2:") {
-		t.Errorf("error %q does not carry file:line attribution", err)
-	}
-	if !strings.Contains(err.Error(), ".skip") {
-		t.Errorf("error %q does not name the directive", err)
-	}
-	// Reference path attributes identically.
-	if _, rerr := Reference(u, nil); rerr == nil || rerr.Error() != err.Error() {
-		t.Errorf("reference error %q differs from %q", rerr, err)
+	for _, tt := range []struct{ src, what string }{
+		{"\tnop\n\t.skip bogus\n", ".skip"},
+		// A branch tail is sized without being encoded at an address;
+		// one the encoder rejects must still fail relaxation.
+		{"\tnop\n\tlock jmp .La\n.La:\n\tret\n", "lock prefix on a relative branch"},
+	} {
+		u := parse(t, tt.src)
+		_, err := Relax(u, nil)
+		if err == nil {
+			t.Fatalf("%q: expected an error", tt.src)
+		}
+		if !strings.Contains(err.Error(), "t.s:2:") {
+			t.Errorf("error %q does not carry file:line attribution", err)
+		}
+		if !strings.Contains(err.Error(), tt.what) {
+			t.Errorf("error %q does not name %q", err, tt.what)
+		}
+		if _, rerr := Reference(u, nil); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("reference error %q differs from %q", rerr, err)
+		}
 	}
 }
 

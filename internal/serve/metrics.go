@@ -182,16 +182,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	scope.WriteMetric(w, "Requests coalesced onto another request's in-flight identical run.", "counter",
 		"maod_coalesced_total", "", strconv.FormatInt(m.coalescedTotal.Load(), 10))
 
-	// Relaxation/encoding cache, daemon-wide cumulative: the only
-	// record of its lookups (run stats carry none).
-	rh, rm := s.relaxCache.Counters()
-	scope.WriteMetric(w, "Encoding-cache (RELAXCACHE) hits.", "counter",
-		"maod_relaxcache_hits_total", "", strconv.FormatInt(rh, 10))
-	scope.WriteMetric(w, "Encoding-cache (RELAXCACHE) misses.", "counter",
-		"maod_relaxcache_misses_total", "", strconv.FormatInt(rm, 10))
-	scope.WriteMetric(w, "Encoding-cache entries evicted by the LRU caps.", "counter",
-		"maod_relaxcache_evictions_total", "", strconv.FormatInt(s.relaxCache.Evictions(), 10))
-
 	// Aggregated per-pass transformation counters.
 	m.passMu.Lock()
 	passMap := m.passStats.Map()

@@ -51,8 +51,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"maod_result_cache_hits_total 1",
 		"maod_result_cache_misses_total 1",
 		"maod_result_cache_entries 1",
-		"maod_relaxcache_hits_total ",
-		"maod_relaxcache_misses_total ",
 		`maod_pass_counters_total{pass="REDTEST",key="removed"} 1`,
 		"maod_uptime_seconds ",
 	} {

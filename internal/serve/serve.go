@@ -21,7 +21,7 @@
 //     an unchanged pipeline is a cache hit and touches no worker.
 //   - An observability plane: /metrics in Prometheus text format
 //     (request counts, latency histogram, queue depth and wait,
-//     result-cache and RELAXCACHE hit rates, aggregated pass
+//     result-cache and memo hit rates, aggregated pass
 //     counters), /healthz, /readyz, and structured JSON access logs.
 //   - Graceful drain: Close stops admission, finishes every admitted
 //     request, and only then returns — zero dropped requests on
@@ -146,13 +146,12 @@ type jobResult struct {
 // Server is the MAOD service: construct with New, expose via Handler,
 // stop with Close (graceful drain).
 type Server struct {
-	cfg        Config
-	relaxCache *relax.Cache
-	results    *resultCache
-	memo       *memo.Memo
-	flights    flight.Group[jobResult] // identical in-flight misses, by result-cache key
-	met        *metrics
-	quota      *quotas // nil when Config.QuotaRate == 0
+	cfg     Config
+	results *resultCache
+	memo    *memo.Memo
+	flights flight.Group[jobResult] // identical in-flight misses, by result-cache key
+	met     *metrics
+	quota   *quotas // nil when Config.QuotaRate == 0
 	// flight keeps the last scope.FlightRing /v1/* requests, served by
 	// DebugHandler.
 	flight *scope.Recorder
@@ -175,15 +174,14 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		relaxCache: relax.NewCache(),
-		results:    newResultCache(cfg.ResultCacheEntries),
-		met:        newMetrics(),
-		quota:      newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
-		flight:     scope.NewRecorder(scope.FlightRing),
-		queue:      make(chan *job, cfg.QueueDepth),
-		accepting:  true,
-		started:    time.Now(),
+		cfg:       cfg,
+		results:   newResultCache(cfg.ResultCacheEntries),
+		met:       newMetrics(),
+		quota:     newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
+		flight:    scope.NewRecorder(scope.FlightRing),
+		queue:     make(chan *job, cfg.QueueDepth),
+		accepting: true,
+		started:   time.Now(),
 	}
 	// Salted exactly like mao.NewMemo: entries never outlive the pass
 	// catalog or validator semantics they were filled under.
@@ -306,7 +304,6 @@ func (s *Server) runJob(j *job, st *relax.State) {
 	// One worker per pipeline: under server load, parallelism across
 	// requests beats parallelism within one.
 	mgr.Workers = 1
-	mgr.Cache = s.relaxCache
 	mgr.RelaxState = st
 	mgr.Tracer = col
 	// The shared pipeline memo makes repeat content O(splice). Verified

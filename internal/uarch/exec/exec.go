@@ -209,17 +209,8 @@ func (m *machine) initData() error {
 		}
 		addr := uint64(m.effAddr(n))
 		d := n.Dir
-		size := 0
-		switch d.Name {
-		case ".byte":
-			size = 1
-		case ".word", ".value", ".short":
-			size = 2
-		case ".long", ".int":
-			size = 4
-		case ".quad", ".8byte":
-			size = 8
-		default:
+		size, ok := d.DataWidth()
+		if !ok {
 			continue // .zero/.skip stay zero; strings not needed by corpus
 		}
 		for _, arg := range d.Args {

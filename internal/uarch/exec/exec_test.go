@@ -341,6 +341,41 @@ counter:
 	}
 }
 
+// TestDataWidthAliases: .2byte and .4byte are laid out and stored at
+// the widths of .short and .long.
+func TestDataWidthAliases(t *testing.T) {
+	src := `
+	.text
+	.type f,@function
+f:
+	movzwl half(%rip), %eax
+	movl word(%rip), %ecx
+	addq %rcx, %rax
+	ret
+	.size f,.-f
+	.data
+half:
+	.2byte 0x1234
+word:
+	.4byte 0x10000
+`
+	u, err := asm.ParseString("t.s", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := relax.Relax(u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(&Config{Unit: u, Layout: layout, Entry: "f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rax(res) != 0x11234 {
+		t.Errorf("half + word = %#x, want 0x11234", rax(res))
+	}
+}
+
 func TestSSEScalar(t *testing.T) {
 	res := run(t, `
 	movl $3, %edi

@@ -33,7 +33,7 @@ func fixtureImages(tb testing.TB) [][]byte {
 			if err != nil {
 				return nil
 			}
-			if img := layout.Image(u, ".text"); len(img) > 0 {
+			if img, err := layout.Image(u, ".text"); err == nil && len(img) > 0 {
 				images = append(images, img)
 			}
 			return nil

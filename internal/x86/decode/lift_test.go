@@ -74,8 +74,8 @@ func TestToUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img := layout.Image(u, ".text"); string(img) != string(code) {
-		t.Errorf("re-encoded image %x, want %x", img, code)
+	if img, err := layout.Image(u, ".text"); err != nil || string(img) != string(code) {
+		t.Errorf("re-encoded image %x (%v), want %x", img, err, code)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestToUnitEndLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img := layout.Image(u, ".text"); string(img) != string(mustHex(t, "e800000000")) {
-		t.Errorf("re-encoded image %x", img)
+	if img, err := layout.Image(u, ".text"); err != nil || string(img) != string(mustHex(t, "e800000000")) {
+		t.Errorf("re-encoded image %x (%v)", img, err)
 	}
 }
 

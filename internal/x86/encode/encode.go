@@ -13,6 +13,7 @@
 package encode
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"mao/internal/x86"
@@ -41,47 +42,46 @@ func (c *Ctx) symAddr(sym string) (int64, bool) {
 
 // Encode returns the binary encoding of in.
 func Encode(in *x86.Inst, ctx *Ctx) ([]byte, error) {
-	if ctx == nil {
-		ctx = &Ctx{}
-	}
-	e := &enc{ctx: ctx, in: in}
-	if err := e.encode(); err != nil {
+	var e enc
+	if err := e.run(in, ctx); err != nil {
 		return nil, err
 	}
-	if e.usedHighByte && (e.rex != 0 || e.rexMust) {
-		return nil, fmt.Errorf("encode: %s: cannot combine a high-byte register with a REX prefix", in)
-	}
-	b := e.bytes()
-	if len(b) > 15 {
-		return nil, fmt.Errorf("encode: %s: encoding exceeds 15 bytes", in)
-	}
-	return b, nil
+	return e.bytes(), nil
 }
 
-// Length returns the encoded length of in in bytes.
+// Length returns the encoded length of in in bytes. It sizes the same
+// parts Encode assembles, without allocating.
 func Length(in *x86.Inst, ctx *Ctx) (int, error) {
-	b, err := Encode(in, ctx)
-	if err != nil {
+	var e enc
+	if err := e.run(in, ctx); err != nil {
 		return 0, err
 	}
-	return len(b), nil
+	return e.length(), nil
 }
 
-// enc accumulates the parts of one encoding.
+// zeroCtx stands in for a nil *Ctx: address 0, no symbols.
+var zeroCtx Ctx
+
+// enc accumulates the parts of one encoding in fixed-size arrays, so
+// sizing an instruction allocates nothing.
 type enc struct {
 	ctx *Ctx
 	in  *x86.Inst
 
-	prefixes []byte
-	rex      byte // 0x40-based; 0 means "no REX yet"
-	rexMust  bool // force emitting 0x40 even with no bits set (sil/dil/...)
-	opcode   []byte
-	modrm    byte
-	hasModRM bool
-	sib      byte
-	hasSIB   bool
-	disp     []byte
-	imm      []byte
+	prefixes  [4]byte // legacy prefixes: LOCK plus at most one more
+	nprefixes int
+	rex       byte // 0x40-based; 0 means "no REX yet"
+	rexMust   bool // force emitting 0x40 even with no bits set (sil/dil/...)
+	opcode    [3]byte
+	nopcode   int
+	modrm     byte
+	hasModRM  bool
+	sib       byte
+	hasSIB    bool
+	disp      [4]byte
+	ndisp     int
+	imm       [8]byte
+	nimm      int
 
 	// RIP-relative displacement fixup: when set, the 4-byte disp is
 	// patched to target-(addr+len) after the length is known.
@@ -93,13 +93,48 @@ type enc struct {
 	usedHighByte bool
 }
 
+// run encodes in into e's parts and checks the constraints that span
+// them.
+func (e *enc) run(in *x86.Inst, ctx *Ctx) error {
+	if ctx == nil {
+		ctx = &zeroCtx
+	}
+	e.ctx, e.in = ctx, in
+	if err := e.encode(); err != nil {
+		return err
+	}
+	if e.usedHighByte && e.hasREX() {
+		return fmt.Errorf("encode: %s: cannot combine a high-byte register with a REX prefix", in)
+	}
+	if e.length() > 15 {
+		return fmt.Errorf("encode: %s: encoding exceeds 15 bytes", in)
+	}
+	return nil
+}
+
+func (e *enc) hasREX() bool { return e.rex != 0 || e.rexMust }
+
+func (e *enc) length() int {
+	n := e.nprefixes + e.nopcode + e.ndisp + e.nimm
+	if e.hasREX() {
+		n++
+	}
+	if e.hasModRM {
+		n++
+	}
+	if e.hasSIB {
+		n++
+	}
+	return n
+}
+
 func (e *enc) bytes() []byte {
-	var out []byte
-	out = append(out, e.prefixes...)
-	if e.rex != 0 || e.rexMust {
+	out := make([]byte, 0, e.length())
+	out = append(out, e.prefixes[:e.nprefixes]...)
+	if e.hasREX() {
 		out = append(out, 0x40|e.rex)
 	}
-	out = append(out, e.opcode...)
+	out = append(out, e.opcode[:e.nopcode]...)
 	if e.hasModRM {
 		out = append(out, e.modrm)
 	}
@@ -107,21 +142,24 @@ func (e *enc) bytes() []byte {
 		out = append(out, e.sib)
 	}
 	dispOff := len(out)
-	out = append(out, e.disp...)
-	out = append(out, e.imm...)
+	out = append(out, e.disp[:e.ndisp]...)
+	out = append(out, e.imm[:e.nimm]...)
 	if e.ripRelKnown {
 		rel := e.ripRelTarget - (e.ctx.Addr + int64(len(out)))
-		putInt32(out[dispOff:], int32(rel))
+		binary.LittleEndian.PutUint32(out[dispOff:], uint32(int32(rel)))
 	}
 	return out
 }
 
-func (e *enc) prefix(p byte) { e.prefixes = append(e.prefixes, p) }
+func (e *enc) prefix(p byte) {
+	e.prefixes[e.nprefixes] = p
+	e.nprefixes++
+}
 
 // rexBit sets one REX bit: 8=W, 4=R, 2=X, 1=B.
 func (e *enc) rexBit(bit byte) { e.rex |= bit }
 
-func (e *enc) op(bs ...byte) { e.opcode = append(e.opcode, bs...) }
+func (e *enc) op(bs ...byte) { e.nopcode += copy(e.opcode[e.nopcode:], bs) }
 
 // setModRM assembles the ModRM byte from its fields.
 func (e *enc) setModRM(mod, reg, rm byte) {
@@ -129,24 +167,25 @@ func (e *enc) setModRM(mod, reg, rm byte) {
 	e.hasModRM = true
 }
 
-func (e *enc) imm8(v int64)  { e.imm = append(e.imm, byte(v)) }
-func (e *enc) imm16(v int64) { e.imm = append(e.imm, byte(v), byte(v>>8)) }
-func (e *enc) imm32(v int64) {
-	e.imm = append(e.imm, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func (e *enc) imm64(v int64) {
-	e.imm32(v)
-	e.imm = append(e.imm, byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+// setImm sets the immediate to the low n bytes of v, little-endian.
+func (e *enc) setImm(v int64, n int) {
+	binary.LittleEndian.PutUint64(e.imm[:], uint64(v))
+	e.nimm = n
 }
 
-func (e *enc) disp8(v int64) { e.disp = append(e.disp, byte(v)) }
-func (e *enc) disp32(v int64) {
-	e.disp = append(e.disp, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+func (e *enc) imm8(v int64)  { e.setImm(v, 1) }
+func (e *enc) imm16(v int64) { e.setImm(v, 2) }
+func (e *enc) imm32(v int64) { e.setImm(v, 4) }
+func (e *enc) imm64(v int64) { e.setImm(v, 8) }
+
+// setDisp sets the displacement to the low n bytes of v, little-endian.
+func (e *enc) setDisp(v int64, n int) {
+	binary.LittleEndian.PutUint32(e.disp[:], uint32(v))
+	e.ndisp = n
 }
 
-func putInt32(b []byte, v int32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
+func (e *enc) disp8(v int64)  { e.setDisp(v, 1) }
+func (e *enc) disp32(v int64) { e.setDisp(v, 4) }
 
 func fitsInt8(v int64) bool  { return v >= -128 && v <= 127 }
 func fitsInt32(v int64) bool { return v >= -1<<31 && v <= 1<<31-1 }

@@ -189,6 +189,8 @@ func TestEncodeErrors(t *testing.T) {
 		"movq $0x123456789, (%rax)", // imm64 to memory
 		"addq $0x123456789, %rax",   // imm64 ALU
 		"movb %ah, %sil",            // high-byte with REX
+		"lock jmp .L1",              // lock on a relative branch
+		"lock call f",
 	}
 	for _, src := range bad {
 		if b, err := Encode(inst(t, src), nil); err == nil {

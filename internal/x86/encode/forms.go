@@ -700,6 +700,9 @@ func (e *enc) encodeBranch() error {
 	if a.Kind != x86.KindLabel {
 		return e.unsupported()
 	}
+	if e.in.Lock {
+		return fmt.Errorf("encode: %s: lock prefix on a relative branch", e.in)
+	}
 	target, known := e.ctx.symAddr(a.Sym)
 	target += a.Off
 

@@ -51,8 +51,9 @@ type (
 	Node = ir.Node
 )
 
-// Layout is the result of relaxation: byte-accurate addresses,
-// lengths and encodings for every node.
+// Layout is the result of relaxation: byte-accurate addresses and
+// lengths for every node, and each instruction's encoding on demand
+// (Layout.Bytes).
 type Layout = relax.Layout
 
 // Stats accumulates per-pass transformation counters.
@@ -110,15 +111,6 @@ func RunPipeline(u *Unit, spec string) (*Stats, error) {
 	}
 	return stats, u.Analyze()
 }
-
-// Cache memoizes position-independent instruction encodings across
-// relaxation runs, keyed on instruction text. It needs no
-// invalidation, so one cache can serve any number of units and
-// concurrent pipelines (see relax.Cache).
-type Cache = relax.Cache
-
-// NewCache returns an empty relaxation/encoding cache.
-func NewCache() *Cache { return relax.NewCache() }
 
 // Memo is the content-addressed, function-granular pipeline memo:
 // every function's optimized form is keyed by a sha256 fingerprint of
@@ -184,9 +176,6 @@ type Options struct {
 	// function passes: 0 means GOMAXPROCS, 1 forces sequential
 	// execution. Output and statistics are identical at any value.
 	Workers int
-	// Cache, when non-nil, memoizes instruction encodings across
-	// relaxation runs (within alignment passes and the final Relax).
-	Cache *Cache
 	// Tracer, when non-nil, collects timing spans for the run. Span
 	// collection is byte- and stats-transparent; when nil the pipeline
 	// pays only a nil check.
@@ -203,9 +192,9 @@ type Options struct {
 	Memo *Memo
 }
 
-// RunPipelineParallel is RunPipeline with an explicit worker count and
-// optional relaxation cache. Emitted assembly and returned statistics
-// are byte-for-byte identical at any worker count.
+// RunPipelineParallel is RunPipeline with explicit options (worker
+// count, tracer, relaxer, memo). Emitted assembly and returned
+// statistics are byte-for-byte identical at any worker count.
 func RunPipelineParallel(u *Unit, spec string, opts Options) (*Stats, error) {
 	return RunPipelineContext(context.Background(), u, spec, opts)
 }
@@ -222,7 +211,6 @@ func RunPipelineContext(ctx context.Context, u *Unit, spec string, opts Options)
 		return nil, err
 	}
 	mgr.Workers = opts.Workers
-	mgr.Cache = opts.Cache
 	mgr.Tracer = opts.Tracer
 	mgr.RelaxState = opts.Relaxer
 	mgr.Memo = opts.Memo
@@ -243,8 +231,8 @@ func Passes() []string { return pass.Names() }
 // check.Certifier, certifies every pass of a pipeline.
 func Check(u *Unit) []Diag { return check.CheckUnit(u) }
 
-// Relax computes instruction addresses and byte-accurate encodings by
-// repeated relaxation.
+// Relax computes instruction addresses and lengths by repeated
+// relaxation; the returned Layout encodes an instruction on demand.
 func Relax(u *Unit) (*Layout, error) { return relax.Relax(u, nil) }
 
 // Core2 returns the Intel Core-2-like machine model (16-byte decode

@@ -86,45 +86,33 @@ const fullPipeline = "REDZEXT:REDTEST:REDMOV:ADDADD:DCE:CONSTFOLD:NOPKILL:SCHED:
 
 // TestPipelineWorkerDeterminism: the full pipeline over the corpus
 // fixtures emits byte-identical assembly and identical merged Stats at
-// workers = 1, 2 and 8, with and without the relaxation cache.
+// workers = 1, 2 and 8.
 func TestPipelineWorkerDeterminism(t *testing.T) {
 	for _, wl := range corpus.Spec2000Int(0.05)[:3] {
 		t.Run(wl.Name, func(t *testing.T) {
 			src := corpus.Generate(wl)
 
-			run := func(workers int, cache *mao.Cache) (string, string) {
+			run := func(workers int) (string, string) {
 				u, err := mao.ParseString(wl.Name+".s", src)
 				if err != nil {
 					t.Fatal(err)
 				}
 				stats, err := mao.RunPipelineParallel(u, fullPipeline,
-					mao.Options{Workers: workers, Cache: cache})
+					mao.Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return u.String(), stats.String()
 			}
 
-			baseOut, baseStats := run(1, nil)
+			baseOut, baseStats := run(1)
 			for _, workers := range []int{2, 8} {
-				out, stats := run(workers, nil)
+				out, stats := run(workers)
 				if out != baseOut {
 					t.Errorf("workers=%d: emitted assembly differs from sequential", workers)
 				}
 				if stats != baseStats {
 					t.Errorf("workers=%d: stats differ:\n%s\nvs\n%s", workers, stats, baseStats)
-				}
-			}
-			// A cache shared across runs changes neither the bytes nor
-			// the stats.
-			cache := mao.NewCache()
-			for _, workers := range []int{1, 8} {
-				out, stats := run(workers, cache)
-				if out != baseOut {
-					t.Errorf("workers=%d cached: emitted assembly differs", workers)
-				}
-				if stats != baseStats {
-					t.Errorf("workers=%d cached: stats differ:\n%s\nvs\n%s", workers, stats, baseStats)
 				}
 			}
 		})
