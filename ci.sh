@@ -26,7 +26,10 @@
 #               race detector to shake out scheduling-dependent races
 #   maolint     pass bodies may mutate the IR only through the
 #               pass.Ctx helpers — raw ir.List calls break provenance
-#               and fragment dirtying silently
+#               and fragment dirtying silently — and take a function's
+#               CFG, liveness and reaching definitions from the
+#               pass.Ctx, which keeps them until a helper edits the
+#               function, never from cfg.Build or dataflow.Live/Reach
 #   fuzz smoke  the parser fuzz target runs briefly, so the committed
 #               seeds keep passing and the harness cannot rot; the
 #               verifier's zero-false-positive fuzz gate
@@ -131,7 +134,7 @@ go test -race -count=3 -run 'TestPipelineWorkerDeterminism|TestConcurrentPipelin
 # workers with tracing on; repeat it specifically under the detector.
 go test -race -count=2 -run 'TestDifferentialAfterPasses' ./internal/relax/
 
-echo "== maolint: passes mutate IR only through pass.Ctx helpers"
+echo "== maolint: passes mutate IR only through pass.Ctx helpers and take analyses from the Ctx"
 go run ./cmd/maolint ./internal/passes
 
 echo "== fuzz smoke: parser"

@@ -10,6 +10,15 @@
 // edits the certifier cannot attribute, so maolint rejects those call
 // forms syntactically in pass packages.
 //
+// Passes also take a function's analyses from the pass.Ctx (Ctx.CFG,
+// Ctx.Live, Ctx.Reach), which keeps them until a helper edits the
+// function. maolint rejects package-qualified calls of cfg.Build,
+// cfg.BuildWith, dataflow.Live, dataflow.LiveBlocks and dataflow.Reach,
+// resolving the package names through the file's imports of
+// mao/internal/cfg and mao/internal/dataflow, aliases included. Other
+// functions of those packages (dataflow.InstDefUse) and methods of a
+// graph stay allowed.
+//
 // Usage:
 //
 //	maolint [-tests] [-json] [dir ...]
@@ -30,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -41,6 +51,13 @@ var rawListMutators = map[string]bool{
 	"InsertAfter":  true,
 	"Remove":       true,
 	"BumpVersion":  true,
+}
+
+// analysisFuncs are the functions that compute a function analysis
+// the pass.Ctx hands out, by import path.
+var analysisFuncs = map[string]map[string]bool{
+	"mao/internal/cfg":      {"Build": true, "BuildWith": true},
+	"mao/internal/dataflow": {"Live": true, "LiveBlocks": true, "Reach": true},
 }
 
 // Violation is one flagged call site.
@@ -112,6 +129,19 @@ func lintSource(fset *token.FileSet, path string, src []byte) ([]Violation, erro
 	if err != nil {
 		return nil, err
 	}
+	// The names this file gives the analysis packages.
+	analysisPkgs := map[string]map[string]bool{}
+	for _, imp := range f.Imports {
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil || analysisFuncs[path] == nil {
+			continue
+		}
+		name := path[strings.LastIndexByte(path, '/')+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		analysisPkgs[name] = analysisFuncs[path]
+	}
 	var out []Violation
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -120,6 +150,16 @@ func lintSource(fset *token.FileSet, path string, src []byte) ([]Violation, erro
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
+			return true
+		}
+		// A package name is an identifier the parser leaves unresolved;
+		// a local variable of the same name resolves to its declaration.
+		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Obj == nil && analysisPkgs[pkg.Name][sel.Sel.Name] {
+			out = append(out, Violation{
+				Pos:  fset.Position(call.Pos()).String(),
+				Call: renderSel(sel),
+				Fix:  "ask the pass.Ctx (ctx.CFG / ctx.Live / ctx.Reach), which keeps the analysis until a helper edits the function",
+			})
 			return true
 		}
 		recv, ok := sel.X.(*ast.SelectorExpr)

@@ -91,3 +91,76 @@ func run() {
 		t.Fatalf("got %d violations, want 0: %+v", len(vs), vs)
 	}
 }
+
+func TestFlagsAnalysisBuilds(t *testing.T) {
+	vs := lint(t, `package p
+
+import (
+	"mao/internal/cfg"
+	"mao/internal/dataflow"
+)
+
+func run(f *Function) {
+	g := cfg.Build(f)
+	g = cfg.BuildWith(f, cfg.Options{})
+	_ = dataflow.Live(g)
+	_ = dataflow.LiveBlocks(g)
+	_ = dataflow.Reach(g)
+}
+`)
+	want := []string{"cfg.Build", "cfg.BuildWith", "dataflow.Live", "dataflow.LiveBlocks", "dataflow.Reach"}
+	if len(vs) != len(want) {
+		t.Fatalf("got %d violations, want %d: %+v", len(vs), len(want), vs)
+	}
+	for i, v := range vs {
+		if v.Call != want[i] {
+			t.Errorf("violation %d call = %q, want %q", i, v.Call, want[i])
+		}
+		if !strings.Contains(v.Fix, "ask the pass.Ctx (ctx.CFG / ctx.Live / ctx.Reach)") {
+			t.Errorf("fix = %q, want it to point at the Ctx", v.Fix)
+		}
+	}
+}
+
+func TestFlagsAliasedAnalysisImport(t *testing.T) {
+	vs := lint(t, `package p
+
+import (
+	flow "mao/internal/dataflow"
+	graph "mao/internal/cfg"
+)
+
+func run(f *Function) {
+	_ = flow.Live(graph.Build(f))
+}
+`)
+	if len(vs) != 2 || vs[0].Call != "flow.Live" || vs[1].Call != "graph.Build" {
+		t.Fatalf("got %+v, want flow.Live and graph.Build", vs)
+	}
+}
+
+func TestAllowsCtxAnalysesAndOtherCalls(t *testing.T) {
+	vs := lint(t, `package p
+
+import (
+	"mao/internal/dataflow"
+	"mao/internal/loops"
+	cfg "example.com/other/cfg"
+)
+
+func run(ctx *Ctx, f *Function, in *Inst) {
+	g := ctx.CFG(f)
+	_ = ctx.Live(f)
+	_ = ctx.Reach(f)
+	_ = dataflow.InstDefUse(in)
+	_ = loops.Find(g)
+	_ = g.BlockOf(nil)
+	_ = cfg.Build(f) // not the analysis package
+	dataflow := struct{ Live func() int }{}
+	_ = dataflow.Live()
+}
+`)
+	if len(vs) != 0 {
+		t.Fatalf("got %d violations, want 0: %+v", len(vs), vs)
+	}
+}

@@ -25,6 +25,10 @@ type BasicBlock struct {
 	// Insts are the instruction nodes of the block in order. The build
 	// caps the slice at its length, so a pass may shrink it in place or
 	// replace it, but appending copies it out of the graph's slab.
+	// A graph handed out by a pass.Ctx is kept for the passes after it:
+	// a pass may splice Insts only after it has edited the function
+	// through a Ctx helper, which also drops the graph and the analyses
+	// computed from it from the Ctx's table.
 	Insts []*ir.Node
 
 	Succs []*BasicBlock

@@ -85,6 +85,7 @@ func (m *Manager) runFuncPass(runCtx context.Context, u *ir.Unit, p FuncPass, ct
 				nodesBefore = funcNodeCount(f)
 				start = m.Tracer.Now()
 			}
+			ctx.fn = f
 			changed, err := p.RunFunc(ctx, f)
 			if tracing {
 				dur := m.Tracer.Now() - start
@@ -154,6 +155,8 @@ func (m *Manager) runFuncPass(runCtx context.Context, u *ir.Unit, p FuncPass, ct
 					Opts:      ctx.Opts,
 					Stats:     r.stats,
 					Relax:     wRelax,
+					an:        ctx.an,
+					fn:        funcs[i],
 					ctx:       runCtx,
 					passName:  name,
 					passIndex: idx,

@@ -87,6 +87,12 @@ type Ctx struct {
 	// is valid everywhere and simply disables incrementality.
 	Relax *relax.State
 
+	// an is the table CFG, Live and Reach answer from; fn is the
+	// function the manager runs this context on (nil for a unit pass or
+	// a NewCtx context), the one the mutation helpers charge edits to.
+	an *analyses
+	fn *ir.Function
+
 	ctx       context.Context
 	passName  string
 	passIndex int
@@ -111,6 +117,7 @@ func NewCtx(u *ir.Unit, passName string, opts *Options, stats *Stats) *Ctx {
 	return &Ctx{
 		Unit: u, Opts: opts, Stats: stats,
 		Relax:     relax.NewState(),
+		an:        newAnalyses(u),
 		passName:  passName,
 		passIndex: -1,
 	}
@@ -650,17 +657,25 @@ func (m *Manager) RunContext(runCtx context.Context, u *ir.Unit) (*Stats, error)
 	if memoHit {
 		pipeline = nil
 	}
+	// The function analyses every context of this run shares; a memo
+	// hit runs no pass and needs none.
+	var an *analyses
+	if len(pipeline) > 0 {
+		an = newAnalyses(u)
+	}
 	for idx, inv := range pipeline {
 		name := inv.Pass.Name()
 		if err := runCtx.Err(); err != nil {
 			return stats, fmt.Errorf("%s[%d]: %w", name, idx, err)
 		}
+		an.resync()
 		ctx := &Ctx{
 			Unit:      u,
 			Opts:      inv.Opts,
 			Stats:     stats,
 			TraceW:    traceW,
 			Relax:     relaxState,
+			an:        an,
 			ctx:       runCtx,
 			passName:  name,
 			passIndex: idx,

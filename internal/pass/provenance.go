@@ -22,10 +22,14 @@ import "mao/internal/ir"
 //
 // The helpers also notify the invocation's relaxation state (Ctx.Relax)
 // about every edit, so the next layout computation rescans only the
-// fragments the edit touched. Passes that bypass the helpers still get
-// correct layouts — the state detects unnotified edits through the
-// list's version counter and falls back to a full rebuild — they just
-// forfeit the incremental path.
+// fragments the edit touched, and drop the function analyses of what
+// they edit (Ctx.CFG, Ctx.Live, Ctx.Reach): the function the manager
+// runs the context on, or every function for a unit pass or a NewCtx
+// context. Passes that bypass the helpers still get correct layouts
+// and analyses — the relaxation state and the analysis table detect
+// unnotified edits through the list's version counter, and fall back
+// to a full rebuild and to dropping every analysis — they just forfeit
+// the incremental path and the reuse.
 
 // Ref returns this invocation's reference: the pass name plus its
 // pipeline invocation index. Programmatic contexts built with NewCtx
@@ -43,6 +47,7 @@ func (c *Ctx) stampNew(n *ir.Node) *ir.Node {
 // last mutator.
 func (c *Ctx) InsertBefore(n, at *ir.Node) *ir.Node {
 	c.Unit.List.InsertBefore(n, at)
+	c.an.edited(c.fn, 1)
 	c.Relax.NodeInserted(n)
 	return c.stampNew(n)
 }
@@ -51,6 +56,7 @@ func (c *Ctx) InsertBefore(n, at *ir.Node) *ir.Node {
 // at and stamps this invocation as its origin and last mutator.
 func (c *Ctx) InsertAfter(n, at *ir.Node) *ir.Node {
 	c.Unit.List.InsertAfter(n, at)
+	c.an.edited(c.fn, 1)
 	c.Relax.NodeInserted(n)
 	return c.stampNew(n)
 }
@@ -59,6 +65,7 @@ func (c *Ctx) InsertAfter(n, at *ir.Node) *ir.Node {
 // list and stamps this invocation as its origin and last mutator.
 func (c *Ctx) Append(n *ir.Node) *ir.Node {
 	c.Unit.List.Append(n)
+	c.an.edited(c.fn, 1)
 	c.Relax.NodeInserted(n)
 	return c.stampNew(n)
 }
@@ -69,6 +76,7 @@ func (c *Ctx) Append(n *ir.Node) *ir.Node {
 // invocation captures.
 func (c *Ctx) Delete(n *ir.Node) {
 	c.Unit.List.Remove(n)
+	c.an.edited(c.fn, 1)
 	c.Relax.NodeRemoved(n)
 }
 
@@ -83,6 +91,7 @@ func (c *Ctx) Rewrite(n *ir.Node) {
 	}
 	n.Prov.LastMut = c.Ref()
 	c.Unit.List.BumpVersion()
+	c.an.edited(c.fn, 1)
 	c.Relax.NodeMutated(n)
 }
 
@@ -94,6 +103,7 @@ func (c *Ctx) MoveBefore(n, at *ir.Node) {
 	c.Relax.NodeRemoved(n)
 	c.Unit.List.InsertBefore(n, at)
 	c.Relax.NodeInserted(n)
+	c.an.edited(c.fn, 2)
 	c.Rewrite(n)
 }
 
@@ -104,5 +114,6 @@ func (c *Ctx) MoveToEnd(n *ir.Node) {
 	c.Relax.NodeRemoved(n)
 	c.Unit.List.Append(n)
 	c.Relax.NodeInserted(n)
+	c.an.edited(c.fn, 2)
 	c.Rewrite(n)
 }

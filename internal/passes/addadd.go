@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"mao/internal/cfg"
 	"mao/internal/dataflow"
 	"mao/internal/ir"
 	"mao/internal/pass"
@@ -31,8 +30,8 @@ type addAdd struct {
 }
 
 func (p *addAdd) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
-	g := cfg.Build(f)
-	live := dataflow.Live(g)
+	g := ctx.CFG(f)
+	live := ctx.Live(f)
 
 	changed := false
 	for _, b := range g.Blocks {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mao/internal/cfg"
 	"mao/internal/ir"
 	"mao/internal/loops"
 	"mao/internal/pass"
@@ -80,6 +79,9 @@ type loop16 struct{ base }
 // directives are self-correcting, and the misalignment decision is a
 // heuristic anyway — one relaxation per invocation keeps the pass
 // linear in unit size (relaxing per function would be quadratic).
+// Every alignment is decided before any is inserted: an edit by a unit
+// pass drops every function's analyses, so the graphs are all read
+// first.
 func (p *loop16) RunUnit(ctx *pass.Ctx) (bool, error) {
 	maxSize := int64(ctx.Opts.Int("size", 16))
 
@@ -88,10 +90,9 @@ func (p *loop16) RunUnit(ctx *pass.Ctx) (bool, error) {
 		return false, err
 	}
 
-	changed := false
+	var heads []*ir.Node
 	for _, f := range ctx.Unit.Functions() {
-		g := cfg.Build(f)
-		lsg := loops.Find(g)
+		lsg := loops.Find(ctx.CFG(f))
 		for _, l := range lsg.InnerLoops() {
 			head := headerLabelNode(f, l)
 			if head == nil {
@@ -110,12 +111,14 @@ func (p *loop16) RunUnit(ctx *pass.Ctx) (bool, error) {
 				}
 			}
 			ctx.Trace(2, "%s: aligning loop %s (size %d, at %#x)", f.Name, l.Header, end-start, start)
-			ctx.InsertBefore(ir.DirectiveNode(".p2align", "4"), head)
-			ctx.Count("aligned", 1)
-			changed = true
+			heads = append(heads, head)
 		}
 	}
-	return changed, nil
+	for _, head := range heads {
+		ctx.InsertBefore(ir.DirectiveNode(".p2align", "4"), head)
+		ctx.Count("aligned", 1)
+	}
+	return len(heads) > 0, nil
 }
 
 // lsdFit implements the paper's III-C.f optimization. The Loop Stream
@@ -144,8 +147,7 @@ func (p *lsdFit) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
 		if err != nil {
 			return changed, err
 		}
-		g := cfg.Build(f)
-		lsg := loops.Find(g)
+		lsg := loops.Find(ctx.CFG(f))
 
 		inner := lsg.InnerLoops()
 		sort.Slice(inner, func(i, j int) bool {

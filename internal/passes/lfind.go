@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"mao/internal/cfg"
 	"mao/internal/ir"
 	"mao/internal/loops"
 	"mao/internal/pass"
@@ -28,7 +27,7 @@ type lfind struct {
 }
 
 func (p *lfind) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
-	g := cfg.Build(f)
+	g := ctx.CFG(f)
 	lsg := loops.Find(g)
 
 	if dir := ctx.Opts.String("dot", ""); dir != "" {

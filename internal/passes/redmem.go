@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"mao/internal/cfg"
 	"mao/internal/dataflow"
 	"mao/internal/ir"
 	"mao/internal/pass"
@@ -37,7 +36,7 @@ type redMem struct {
 }
 
 func (p *redMem) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
-	g := cfg.Build(f)
+	g := ctx.CFG(f)
 
 	changed := false
 	for _, b := range g.Blocks {

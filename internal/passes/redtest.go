@@ -40,8 +40,8 @@ type redTest struct {
 }
 
 func (p *redTest) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
-	g := cfg.Build(f)
-	live := dataflow.Live(g)
+	g := ctx.CFG(f)
+	live := ctx.Live(f)
 
 	changed := false
 	for _, b := range g.Blocks {

@@ -1,8 +1,6 @@
 package passes
 
 import (
-	"mao/internal/cfg"
-	"mao/internal/dataflow"
 	"mao/internal/ir"
 	"mao/internal/pass"
 	"mao/internal/x86"
@@ -31,8 +29,8 @@ type redZext struct {
 }
 
 func (p *redZext) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
-	g := cfg.Build(f)
-	reach := dataflow.Reach(g)
+	g := ctx.CFG(f)
+	reach := ctx.Reach(f)
 
 	changed := false
 	for _, b := range g.Blocks {

@@ -26,7 +26,7 @@ type dce struct {
 }
 
 func (p *dce) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
-	g := cfg.Build(f)
+	g := ctx.CFG(f)
 	if f.Unresolved {
 		ctx.Trace(1, "%s: skipped (unresolved indirect branches)", f.Name)
 		return false, nil
@@ -87,8 +87,8 @@ type constFold struct {
 }
 
 func (p *constFold) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
-	g := cfg.Build(f)
-	live := dataflow.Live(g)
+	g := ctx.CFG(f)
+	live := ctx.Live(f)
 
 	changed := false
 	for _, b := range g.Blocks {

@@ -92,8 +92,8 @@ type depNode struct {
 func (p *sched) RunFunc(ctx *pass.Ctx, f *ir.Function) (bool, error) {
 	costFn := ctx.Opts.String("costfn", "critpath")
 
-	g := cfg.Build(f)
-	live := dataflow.Live(g)
+	g := ctx.CFG(f)
+	live := ctx.Live(f)
 	changed := false
 	for _, b := range g.Blocks {
 		if p.scheduleBlock(ctx, f, b, costFn, live) {
