@@ -32,27 +32,52 @@ import (
 // machine-to-machine noise.
 const regressionFactor = 2.0
 
-// memoHitRateFloor is the memo hit rate `maobench -memo` demands from
-// the repeat-corpus replay: with the default 20 rounds only the fill
-// round may miss, so anything at or below 0.9 means functions failed
-// to memoize at all (or the memo silently invalidated between rounds).
+// memoHitRateFloor is the memo hit rate `maobench -memo` demands of a
+// function-local spec's repeat-corpus replay: with the default 20
+// rounds only the fill round may miss, so anything at or below 0.9
+// means functions failed to memoize at all (or the memo silently
+// invalidated between rounds).
 const memoHitRateFloor = 0.9
 
 // memoVerifyRounds is how often -memo replays each corpus unit through
 // the shared memo (round 1 fills, every later round must hit).
 const memoVerifyRounds = 20
 
-// runMemoVerify replays the corpus through a shared pipeline memo,
-// failing on any output that differs from a cold run or on a hit rate
-// at or below memoHitRateFloor.
+// memoVerifySpecs are the pipelines -memo replays. The memo must answer
+// the function-local ones (every pass a ParallelSafe function pass):
+// REDTEST:REDMOV:DCE:CONSTFOLD and edit-resubmit's spec. The alignment
+// pipeline is not function-local, so it must run with no memo probe
+// and no store.
+var memoVerifySpecs = []struct {
+	spec     string
+	memoized bool
+}{
+	{"REDTEST:REDMOV:DCE:CONSTFOLD", true},
+	{"REDZEXT:REDTEST:REDMOV:ADDADD:SCHED", true},
+	{"LOOP16:LSD:BRALIGN", false},
+}
+
+// runMemoVerify replays the corpus through a shared pipeline memo per
+// spec, failing on any output that differs from a cold run, on a
+// function-local spec's hit rate at or below memoHitRateFloor, and on
+// any probe or store by another spec.
 func runMemoVerify(scale float64) error {
-	results, err := bench.MemoCorpusVerify(scale, memoVerifyRounds)
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Printf("memo %-28s %3d units %5d functions %3d rounds  hit-rate %.3f  byte-identical\n",
-			r.Spec, r.Sources, r.Functions, r.Rounds, r.HitRate)
+	for _, v := range memoVerifySpecs {
+		r, err := bench.MemoCorpusVerify(v.spec, scale, memoVerifyRounds)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("memo %-36s %3d units %5d functions %3d rounds  ",
+			r.Spec, r.Sources, r.Functions, r.Rounds)
+		if !v.memoized {
+			fmt.Printf("%d probes %d stores  byte-identical\n", r.Probes, r.Stores)
+			if r.Probes != 0 || r.Stores != 0 {
+				return fmt.Errorf("memo %s: not function-local, yet %d probes and %d stores",
+					r.Spec, r.Probes, r.Stores)
+			}
+			continue
+		}
+		fmt.Printf("hit-rate %.3f  byte-identical\n", r.HitRate)
 		if r.HitRate <= memoHitRateFloor {
 			return fmt.Errorf("memo %s: hit rate %.3f is not above %.1f",
 				r.Spec, r.HitRate, memoHitRateFloor)
@@ -119,7 +144,7 @@ func main() {
 	timings := flag.Bool("timings", false, "print an aggregate per-pass timing table for all pipelines run")
 	jsonOut := flag.Bool("json", false, "measure relaxation/pipeline benchmarks and write BENCH_relax.json + BENCH_pipeline.json")
 	verifyOH := flag.Bool("verify", false, "measure the translation-validation overhead of a verified pipeline")
-	memoVerify := flag.Bool("memo", false, "replay the corpus through a shared pipeline memo; fail unless hit rate > 0.9 and output is byte-identical to cold runs")
+	memoVerify := flag.Bool("memo", false, "replay the corpus through a shared pipeline memo; fail unless output is byte-identical to cold runs, function-local specs hit above 0.9, and LOOP16:LSD:BRALIGN never probes or stores")
 	outDir := flag.String("outdir", ".", "directory BENCH_*.json files are written to (with -json)")
 	baseline := flag.String("baseline", "", "directory holding baseline BENCH_*.json; exit non-zero on >2x ns/op regression (with -json)")
 	flag.Parse()

@@ -26,10 +26,6 @@ type checkPass struct{}
 
 func (p *checkPass) Name() string { return "CHECK" }
 
-// Effectful: diagnostic emission is an effect outside the IR, so
-// pipelines containing CHECK are never answered from the memo (a hit
-// would silently skip the lint).
-func (p *checkPass) Effectful() bool { return true }
 func (p *checkPass) Description() string {
 	return "static verification & lint: run the rule catalog over the unit"
 }

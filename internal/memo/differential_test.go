@@ -20,15 +20,21 @@ import (
 // 8, a memoized run — both the run that fills the memo and the run
 // answered from it — emits assembly byte-identical to a cold,
 // unmemoized run, with the same check diagnostics and the same
-// explain lineage (source lines and provenance).
+// explain lineage (source lines and provenance). A pipeline that is
+// not function-local runs through the same manager with the memo set,
+// and must neither be answered from it nor store in it.
 
-var diffSpecs = []string{
-	"",                   // parse + canonical re-emission
-	"REDTEST:REDMOV",     // local keys (ParallelSafe only)
-	"DCE:CONSTFOLD",      // local keys
-	"SCHED",              // local keys
-	"LOOP16",             // unit keys (whole-unit layout)
-	"LOOP16:LSD:BRALIGN", // unit keys, the BENCH_memo pipeline
+var diffSpecs = []struct {
+	spec     string
+	memoized bool // function-local: the warm run hits every function
+}{
+	{"", true}, // parse + canonical re-emission
+	{"REDTEST:REDMOV", true},
+	{"DCE:CONSTFOLD", true},
+	{"SCHED", true},
+	{"REDZEXT:REDTEST:REDMOV:ADDADD:SCHED", true}, // edit-resubmit's spec
+	{"LOOP16", false},             // a unit pass (whole-unit layout)
+	{"LOOP16:LSD:BRALIGN", false}, // plus two serial function passes
 }
 
 func diffSources(t *testing.T) map[string]string {
@@ -56,7 +62,8 @@ func TestMemoDifferentialCorpus(t *testing.T) {
 		t.Skip("runs the corpus × spec × workers matrix three times over")
 	}
 	sources := diffSources(t)
-	for _, spec := range diffSpecs {
+	for _, ds := range diffSpecs {
+		spec := ds.spec
 		for _, workers := range []int{1, 8} {
 			m := memo.New(0, "diff")
 			for name, src := range sources {
@@ -107,11 +114,22 @@ func TestMemoDifferentialCorpus(t *testing.T) {
 				}
 				run("fill")
 				stats := run("warm")
+				if !ds.memoized {
+					if _, ok := stats.Map()["MEMO"]; ok {
+						t.Errorf("%s spec=%q workers=%d: warm run of a pipeline that is not function-local carries a MEMO row:\n%s",
+							name, spec, workers, stats)
+					}
+					continue
+				}
 				if fns := len(cold.Functions()); fns > 0 &&
 					stats.Get("MEMO", "functions") != fns {
 					t.Errorf("%s spec=%q workers=%d: warm run did not hit (%d of %d functions), stats:\n%s",
 						name, spec, workers, stats.Get("MEMO", "functions"), fns, stats)
 				}
+			}
+			if mm := m.Metrics(); !ds.memoized && mm != (memo.Metrics{}) {
+				t.Errorf("spec=%q workers=%d: a pipeline that is not function-local engaged the memo: %+v",
+					spec, workers, mm)
 			}
 		}
 	}

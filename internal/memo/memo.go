@@ -10,29 +10,27 @@
 // spans are re-parsed from their stored text and spliced in,
 // byte-identical to a cold run.
 //
+// # What is memoized
+//
+// Only function-local pipelines: every invocation a ParallelSafe
+// function pass, whose output for a function is a pure function of
+// that function's span (internal/pass decides, and runs any other
+// pipeline with no plan, lookup or fill). So the span content alone
+// identifies a result, and different units share entries for
+// identical functions.
+//
 // # Key derivation
 //
-// A function's fingerprint is sha256 over length-delimited fields,
-// following the internal/cachekey conventions:
+// A function's key is sha256 over length-delimited fields, following
+// the internal/cachekey conventions:
 //
-//   - the canonical IR bytes of the function span (every node's
-//     rendered line, length-prefixed, and its source line relative to
-//     the function's entry label) and its section name;
-//   - the canonical pipeline spec;
 //   - the configuration salt: pass-catalog version, static-check
 //     version, translation-validation version and the memo format
-//     version, fixed at construction.
-//
-// Two key modes exist, chosen by the caller per pipeline:
-//
-//   - local: the span content alone identifies the result. Sound only
-//     for pipelines of ParallelSafe function passes, whose output for
-//     a function is a pure function of that function's span. Local
-//     keys let different units share entries for identical functions.
-//   - unit: the whole unit's content is folded into every function's
-//     key. Sound for any pipeline whose effects stay inside function
-//     spans (alignment passes consult unit-wide layout, so a
-//     function's optimized form depends on its neighbors).
+//     version, fixed at construction;
+//   - the canonical pipeline spec;
+//   - the span fingerprint: the span's section name, then every
+//     node's rendered line, length-prefixed, and its source line
+//     relative to the function's entry label.
 //
 // Invalidation is structural: a changed function, spec, or catalog
 // version composes a different key, so stale entries are simply never
@@ -93,7 +91,7 @@ import (
 
 // formatVersion is baked into every key; bump it when the entry
 // layout or fingerprint composition changes incompatibly.
-const formatVersion = "maomemo/3"
+const formatVersion = "maomemo/4"
 
 // ErrBadEntry is returned by Splice when a memoized span does not
 // parse back into the nodes it was stored from. The unit is untouched
@@ -269,10 +267,11 @@ func (m *Memo) Len() int {
 	return m.entries.Len()
 }
 
-// Plan holds the per-function fingerprints of one unit under one
-// pipeline configuration, computed by NewPlan before a run and
-// consumed by Lookup (before) and Fill (after). A Plan is tied to the
-// unit's current content; recompute it after any edit.
+// Plan holds the per-function keys of one unit under one pipeline
+// configuration, computed by NewPlan before a run and consumed by
+// Lookup (before) and Fill (after). A Plan is tied to the unit's
+// current content; recompute it after any edit. A plan with no keys
+// is inert: Lookup misses and Fill stores nothing, neither counting.
 type Plan struct {
 	memo    *Memo
 	keys    []string
@@ -284,57 +283,50 @@ type Plan struct {
 // Functions returns the number of functions the plan covers.
 func (p *Plan) Functions() int { return len(p.fns) }
 
-// NewPlan fingerprints every function of u under the canonical
-// pipeline spec. local selects span-content keys (sound only for
-// pipelines of ParallelSafe function passes); otherwise the whole
-// unit's content is folded into every key. It returns nil when the
-// unit has no recognized functions — there is nothing to memoize.
+// NewPlan keys every function of u on the salt, the canonical
+// pipeline spec and the function's span fingerprint, which is sound
+// only for function-local pipelines (see the package doc). It returns
+// nil when the unit has no recognized functions, or spans the memo
+// cannot fingerprint — there is nothing to memoize.
+//
+// The local parameter is deprecated; pass true. A false local returns
+// an inert plan, which Lookup misses and Fill ignores without
+// counting. It stays for maoledger/replay.go, which passes false for
+// the layout spec, until ROADMAP item 5 removes that replay.
 func (m *Memo) NewPlan(u *ir.Unit, spec string, local bool) *Plan {
+	if !local {
+		return &Plan{memo: m}
+	}
 	fns := u.Functions()
 	if len(fns) == 0 {
 		return nil
 	}
-	spanFPs, interFP, unitFP, ok := contentFingerprints(u, fns, !local)
+	spanFPs, interFP, ok := contentFingerprints(u, fns)
 	if !ok {
 		return nil
 	}
 	p := &Plan{memo: m, fns: fns, spanFPs: spanFPs, interFP: interFP}
 	p.keys = make([]string, len(fns))
 	var buf []byte
-	for i, f := range fns {
+	for i := range fns {
 		h := sha256.New()
 		buf = writeField(h, buf, m.salt)
 		buf = writeField(h, buf, spec)
-		if local {
-			buf = writeField(h, buf, "local")
-			buf = writeField(h, buf, f.SectionName)
-		} else {
-			buf = writeField(h, buf, "unit")
-			buf = writeField(h, buf, unitFP)
-			buf = writeField(h, buf, f.Name)
-		}
-		// Both modes key on the span fingerprint: its relative source
-		// lines, which the unit fingerprint does not carry, keep
-		// entries shared only between identically laid-out spans.
 		buf = writeField(h, buf, spanFPs[i])
 		p.keys[i] = hex.EncodeToString(h.Sum(nil))
 	}
 	return p
 }
 
-// contentFingerprints walks the unit once, hashing every function
-// span (lines of assembly and relative source lines), the interstitial
-// content, and (when wantUnit) the whole unit (lines of assembly). ok
-// is false when the function spans do not partition the list into the
-// expected well-nested shape (overlapping or dangling spans), or when
-// a span holds a source line above its entry label.
-func contentFingerprints(u *ir.Unit, fns []*ir.Function, wantUnit bool) (spanFPs []string, interFP, unitFP string, ok bool) {
+// contentFingerprints walks the unit once, hashing every function span
+// (its section, lines of assembly and relative source lines) and the
+// interstitial content. ok is false when the function spans do not
+// partition the list into the expected well-nested shape (overlapping
+// or dangling spans), or when a span holds a source line above its
+// entry label.
+func contentFingerprints(u *ir.Unit, fns []*ir.Function) (spanFPs []string, interFP string, ok bool) {
 	spanFPs = make([]string, len(fns))
 	inter := sha256.New()
-	var unit hash.Hash
-	if wantUnit {
-		unit = sha256.New()
-	}
 	var span hash.Hash
 	var buf []byte
 	base := 0
@@ -345,21 +337,17 @@ func contentFingerprints(u *ir.Unit, fns []*ir.Function, wantUnit bool) (spanFPs
 			buf = writeField(span, buf, fns[fi].SectionName)
 			base = n.Line
 		}
-		var text, full []byte
 		if span != nil {
 			rel, ok := relLine(n.Line, base)
 			if !ok {
-				return nil, "", "", false
+				return nil, "", false
 			}
-			text, full = nodeField(buf, n, rel)
-			span.Write(full)
+			_, buf = nodeField(buf, n, rel)
+			span.Write(buf)
 		} else {
-			text, full = nodeField(buf, n, 0)
+			var text []byte
+			text, buf = nodeField(buf, n, 0)
 			inter.Write(text)
-		}
-		buf = full
-		if unit != nil {
-			unit.Write(text)
 		}
 		if span != nil && n == fns[fi].End() {
 			spanFPs[fi] = hex.EncodeToString(span.Sum(nil))
@@ -368,12 +356,9 @@ func contentFingerprints(u *ir.Unit, fns []*ir.Function, wantUnit bool) (spanFPs
 		}
 	}
 	if span != nil || fi != len(fns) {
-		return nil, "", "", false // a span never closed or never opened
+		return nil, "", false // a span never closed or never opened
 	}
-	if unit != nil {
-		unitFP = hex.EncodeToString(unit.Sum(nil))
-	}
-	return spanFPs, hex.EncodeToString(inter.Sum(nil)), unitFP, true
+	return spanFPs, hex.EncodeToString(inter.Sum(nil)), true
 }
 
 // Hit is a successful whole-unit lookup: one entry per function of
@@ -386,9 +371,10 @@ type Hit struct {
 
 // Lookup probes every function key of the plan. It succeeds only when
 // all functions hit — a partial hit cannot shortcut the pipeline, so
-// it counts every function as a miss and returns false.
+// it counts every function as a miss and returns false. A nil or
+// inert plan misses without counting.
 func (m *Memo) Lookup(p *Plan) (*Hit, bool) {
-	if p == nil {
+	if p == nil || len(p.keys) == 0 {
 		return nil, false
 	}
 	h := &Hit{plan: p, entries: make([]entry, len(p.keys))}
@@ -468,9 +454,10 @@ func (h *Hit) Spliced() int { return h.spliced }
 // any drift nothing is stored and Fill reports false. Spans that the
 // run left byte-identical are stored without text — splicing them is
 // free. A changed span is stored as the text its fingerprint was
-// computed from, with relative lines and provenance per node.
+// computed from, with relative lines and provenance per node. A nil
+// or inert plan stores nothing and counts nothing.
 func (m *Memo) Fill(p *Plan, u *ir.Unit) bool {
-	if p == nil {
+	if p == nil || len(p.keys) == 0 {
 		return false
 	}
 	fns := p.fns

@@ -71,7 +71,7 @@ func newManager(t *testing.T, spec string, m *memo.Memo) *pass.Manager {
 // TestMemoHitByteIdentity: a fresh parse of the same source must hit
 // the memo and come out byte-identical to the cold run.
 func TestMemoHitByteIdentity(t *testing.T) {
-	for _, spec := range []string{"REDTEST:REDMOV", "LOOP16:LSD:BRALIGN"} {
+	for _, spec := range []string{"REDTEST:REDMOV", "REDZEXT:REDTEST:REDMOV:ADDADD:SCHED"} {
 		t.Run(spec, func(t *testing.T) {
 			cold := parse(t, srcTwo)
 			mgrCold, _ := pass.NewManager(spec)
@@ -110,10 +110,9 @@ func TestMemoHitByteIdentity(t *testing.T) {
 	}
 }
 
-// TestMemoLocalSharing: with a ParallelSafe-only pipeline, a unit
-// whose functions are a subset of previously seen ones hits fully —
-// cross-unit sharing at function granularity. A whole-unit-keyed
-// pipeline must not share across units.
+// TestMemoLocalSharing: a unit whose functions are a subset of
+// previously seen ones hits fully — cross-unit sharing at function
+// granularity.
 func TestMemoLocalSharing(t *testing.T) {
 	const spec = "REDTEST:REDMOV"
 	m := memo.New(0, "v1")
@@ -139,22 +138,6 @@ func TestMemoLocalSharing(t *testing.T) {
 	if u2.String() != coldG.String() {
 		t.Fatalf("shared-function splice differs from cold run:\n%s\nvs\n%s",
 			u2.String(), coldG.String())
-	}
-
-	// Unit-keyed pipelines fold the whole unit into every key: no
-	// cross-unit sharing.
-	mu := memo.New(0, "v1")
-	u3 := parse(t, srcTwo)
-	if _, err := newManager(t, "LOOP16", mu).Run(u3); err != nil {
-		t.Fatal(err)
-	}
-	u4 := parse(t, srcGOnly)
-	stats, err = newManager(t, "LOOP16", mu).Run(u4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Get("MEMO", "functions") != 0 {
-		t.Fatalf("unit-keyed pipeline shared across units, stats:\n%s", stats)
 	}
 }
 
@@ -235,8 +218,9 @@ func TestMemoRepeatRun(t *testing.T) {
 	}
 }
 
-// TestMemoBypasses: hooks, effectful passes and dump options disable
-// memoization.
+// TestMemoBypasses: a hook, a dump option, a unit pass or a serial
+// function pass keeps the memo out of the run entirely — no probe, no
+// store, no counter moves.
 func TestMemoBypasses(t *testing.T) {
 	type hook struct{ pass.Hooks }
 	cases := []struct {
@@ -245,8 +229,12 @@ func TestMemoBypasses(t *testing.T) {
 		spec string
 	}{
 		{"hook", func(mgr *pass.Manager) { mgr.Hook = hook{} }, "REDTEST"},
-		{"effectful", nil, "REDTEST:CHECK"},
 		{"dump", nil, "REDTEST=dump_after[/dev/null]"},
+		{"CHECK", nil, "REDTEST:CHECK"}, // unit pass
+		{"LOOP16", nil, "LOOP16"},       // unit pass
+		{"LSD", nil, "LSD"},             // serial function pass
+		{"BRALIGN", nil, "BRALIGN"},     // serial function pass
+		{"layout", nil, "REDZEXT:REDTEST:REDMOV:ADDADD:SCHED:LOOP16"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -261,10 +249,42 @@ func TestMemoBypasses(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if mm := m.Metrics(); mm.Hits != 0 || mm.Stores != 0 {
+			if mm := m.Metrics(); mm != (memo.Metrics{}) {
 				t.Fatalf("memo engaged for %s: %+v", tc.name, mm)
 			}
 		})
+	}
+}
+
+// TestMemoInertPlan: NewPlan with local false returns a plan that is
+// not nil yet never answers or stores. Lookup misses where a local
+// plan of the same unit and spec hits, Fill stores nothing, and no
+// counter moves.
+func TestMemoInertPlan(t *testing.T) {
+	m := memo.New(0, "v1")
+	if _, err := newManager(t, "REDTEST", m).Run(parse(t, srcTwo)); err != nil {
+		t.Fatal(err)
+	}
+	u := parse(t, srcTwo)
+	if _, ok := m.Lookup(m.NewPlan(u, "REDTEST", true)); !ok {
+		t.Fatal("a local plan missed the filled memo")
+	}
+	before := m.Metrics()
+	p := m.NewPlan(u, "REDTEST", false)
+	if p == nil {
+		t.Fatal("NewPlan with local false returned nil")
+	}
+	if n := p.Functions(); n != 0 {
+		t.Errorf("inert plan covers %d functions, want 0", n)
+	}
+	if _, ok := m.Lookup(p); ok {
+		t.Error("inert plan hit the memo")
+	}
+	if m.Fill(p, u) {
+		t.Error("inert plan filled the memo")
+	}
+	if after := m.Metrics(); after != before {
+		t.Errorf("inert plan moved the counters: %+v, then %+v", before, after)
 	}
 }
 

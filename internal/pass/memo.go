@@ -18,19 +18,14 @@ import (
 // skipped and the memoized optimized spans are spliced in, re-parsed
 // from their stored text — byte-identical to a cold run, which the
 // differential suites pin across corpus × specs × worker counts.
-
-// Effectful marks passes whose invocation has effects outside the
-// unit's IR — file emission (ASM), diagnostic output (CHECK). Their
-// presence in a pipeline disables memoization of the run: skipping
-// the pipeline would skip the effect.
-type Effectful interface {
-	Effectful() bool
-}
-
-func isEffectful(p Pass) bool {
-	e, ok := p.(Effectful)
-	return ok && e.Effectful()
-}
+//
+// Only function-local pipelines are memoized: every invocation a
+// ParallelSafe FuncPass with no dump option. Such a pass's output for
+// a function depends on that function's span alone, so the span keys
+// its entry, and a hit that skips it skips nothing but IR edits
+// (DESIGN.md §8.1). A unit pass (ASM, CHECK, LOOP16) or a serial
+// FuncPass (LSD, BRALIGN) reads the whole unit or acts outside it, so
+// any pipeline holding one runs with no plan, lookup or fill.
 
 // CatalogVersion returns a fingerprint of the registered pass
 // catalog. It changes whenever the set of registered passes does, so
@@ -50,40 +45,31 @@ func CatalogVersion() string {
 type memoState struct {
 	once      sync.Once
 	signature string // canonical pipeline spec baked into keys
-	enabled   bool   // no effectful passes, no dump options
-	local     bool   // every pass is a ParallelSafe FuncPass
+	enabled   bool   // every invocation is memoizable
 }
 
-// memoConfig resolves (and caches) whether this pipeline is
-// memoizable and in which key mode.
-func (m *Manager) memoConfig() (signature string, local, enabled bool) {
+// memoizable reports whether a memo hit may stand in for inv: a
+// ParallelSafe FuncPass (not dispatched as a UnitPass) without the
+// dump_before or dump_after option.
+func memoizable(inv Invocation) bool {
+	if _, unit := inv.Pass.(UnitPass); unit {
+		return false
+	}
+	if _, fn := inv.Pass.(FuncPass); !fn || !isParallelSafe(inv.Pass) {
+		return false
+	}
+	_, before := inv.Opts.m["dump_before"]
+	_, after := inv.Opts.m["dump_after"]
+	return !before && !after
+}
+
+// memoConfig resolves (and caches) whether this pipeline is memoizable
+// and its canonical spec.
+func (m *Manager) memoConfig() (signature string, enabled bool) {
 	m.memoState.once.Do(func() {
-		st := &m.memoState
-		st.enabled = true
-		st.local = true
 		var sig strings.Builder
 		for i, inv := range m.Pipeline {
-			if isEffectful(inv.Pass) {
-				st.enabled = false
-				return
-			}
-			if _, ok := inv.Opts.m["dump_before"]; ok {
-				st.enabled = false
-				return
-			}
-			if _, ok := inv.Opts.m["dump_after"]; ok {
-				st.enabled = false
-				return
-			}
-			switch inv.Pass.(type) {
-			case UnitPass:
-				st.local = false
-			case FuncPass:
-				if !isParallelSafe(inv.Pass) {
-					st.local = false
-				}
-			default:
-				st.enabled = false
+			if !memoizable(inv) {
 				return
 			}
 			if i > 0 {
@@ -104,18 +90,19 @@ func (m *Manager) memoConfig() (signature string, local, enabled bool) {
 				fmt.Fprintf(&sig, "%s[%s]", k, inv.Opts.m[k])
 			}
 		}
-		st.signature = sig.String()
+		m.memoState.signature = sig.String()
+		m.memoState.enabled = true
 	})
-	return m.memoState.signature, m.memoState.local, m.memoState.enabled
+	return m.memoState.signature, m.memoState.enabled
 }
 
 // memoPlan fingerprints u for this pipeline, or returns nil when the
-// run is not memoizable (effectful passes, dump options, hooks, or a
-// unit with no functions).
+// run is not memoizable (a pass that is not function-local, a dump
+// option, or a unit with no functions).
 func (m *Manager) memoPlan(u *ir.Unit) *memo.Plan {
-	sig, local, enabled := m.memoConfig()
+	sig, enabled := m.memoConfig()
 	if !enabled {
 		return nil
 	}
-	return m.Memo.NewPlan(u, sig, local)
+	return m.Memo.NewPlan(u, sig, true)
 }

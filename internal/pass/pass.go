@@ -523,11 +523,13 @@ type Manager struct {
 	// fingerprints every function of the unit; if all of them hit, the
 	// pipeline is skipped and the memoized optimized spans are spliced
 	// in — byte-identical to running cold. After a successful cold run
-	// the manager fills the memo. Memoization silently disengages for
-	// runs it cannot shortcut faithfully: pipelines with effectful
-	// passes (ASM, CHECK) or dump options, managers with a Hook (the
-	// certifier must observe every invocation), and units whose runs
-	// mutate content outside function spans. Memoized runs report the
+	// the manager fills the memo. Only function-local pipelines are
+	// memoized: every invocation a ParallelSafe FuncPass with no dump
+	// option. Any other pipeline (a unit pass such as ASM, CHECK or
+	// LOOP16, a serial FuncPass such as LSD) runs with no plan, lookup
+	// or fill, as do managers with a Hook (the certifier must observe
+	// every invocation); units whose runs mutate content outside
+	// function spans are not stored. Memoized runs report the
 	// pseudo-pass MEMO in their Stats instead of per-pass counters.
 	Memo *memo.Memo
 

@@ -19,10 +19,6 @@ func init() {
 // the paper, analysis-only pipelines simply omit the pass.
 type asmOut struct{ base }
 
-// Effectful: emission writes outside the IR, so pipelines containing
-// ASM are never answered from the memo (a hit would skip the write).
-func (p *asmOut) Effectful() bool { return true }
-
 func (p *asmOut) RunUnit(ctx *pass.Ctx) (bool, error) {
 	path := ctx.Opts.String("o", "-")
 	if path == "-" {

@@ -258,12 +258,12 @@ func (s *Server) worker() {
 }
 
 // runJob executes one request end to end and posts the result. The
-// execution path mirrors cmd/mao exactly — parse, pass.Manager with
-// the shared cache, Analyze, emit — so responses are byte-identical
-// to the CLI. Pass instances are created fresh per unit (via
-// pass.NewManager): passes like SIMADDR accumulate per-run instance
-// state, so sharing instances across units would cross-contaminate
-// results.
+// execution path mirrors cmd/mao exactly — parse, pass.Manager (with
+// the shared memo unless the request verifies or traces), Analyze,
+// emit — so responses are byte-identical to the CLI. Pass instances
+// are created fresh per unit (via pass.NewManager): passes like
+// SIMADDR accumulate per-run instance state, so sharing instances
+// across units would cross-contaminate results.
 func (s *Server) runJob(j *job, st *relax.State) {
 	if err := j.ctx.Err(); err != nil {
 		s.post(j, jobResult{status: statusForCtx(err), err: err})

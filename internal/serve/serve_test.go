@@ -29,9 +29,6 @@ type sleepPass struct{}
 func (sleepPass) Name() string        { return "SLEEPTEST" }
 func (sleepPass) Description() string { return "test pass that sleeps" }
 
-// Effectful: the sleep is the point — memoizing it away would let
-// repeat content skip the delay the timing tests depend on.
-func (sleepPass) Effectful() bool { return true }
 func (sleepPass) RunUnit(ctx *pass.Ctx) (bool, error) {
 	d := time.Duration(ctx.Opts.Int("ms", 10)) * time.Millisecond
 	select {

@@ -116,8 +116,10 @@ func RunPipeline(u *Unit, spec string) (*Stats, error) {
 // every function's optimized form is keyed by a sha256 fingerprint of
 // its content, the pipeline spec and the pass-catalog/check/verify
 // versions. A unit whose functions all hit skips the pipeline and
-// splices the memoized spans — byte-identical to a cold run. Share
-// one memo across runs (and goroutines) via Options.Memo; the maod
+// splices the memoized spans — byte-identical to a cold run. Only
+// function-local pipelines are memoized (every pass a parallel-safe
+// function pass); any other runs as if no memo were set. Share one
+// memo across runs (and goroutines) via Options.Memo; the maod
 // service shares one across all requests.
 type Memo = memo.Memo
 
@@ -188,7 +190,9 @@ type Options struct {
 	// Memo, when non-nil, memoizes per-function pipeline results by
 	// content: a unit whose functions were all optimized before (by
 	// any run sharing the memo) skips the pipeline and splices the
-	// memoized spans. Output is byte-identical to a cold run.
+	// memoized spans. Output is byte-identical to a cold run. A spec
+	// with a pass that is not a parallel-safe function pass (ASM,
+	// CHECK, LOOP16, LSD, BRALIGN, ...) ignores it.
 	Memo *Memo
 }
 
@@ -202,9 +206,10 @@ func RunPipelineParallel(u *Unit, spec string, opts Options) (*Stats, error) {
 // RunPipelineContext is RunPipelineParallel under a context: the
 // pipeline aborts between passes (and between functions of a function
 // pass) once ctx is done, returning ctx's error wrapped with the
-// invocation that was about to run. This is the entry point for
-// request-scoped callers — the maod optimization service threads every
-// request's deadline through it.
+// invocation that was about to run. This is the library entry point
+// for request-scoped callers; the maod optimization service builds its
+// own pass.Manager and calls its RunContext with each request's
+// deadline.
 func RunPipelineContext(ctx context.Context, u *Unit, spec string, opts Options) (*Stats, error) {
 	mgr, err := pass.NewManager(spec)
 	if err != nil {
